@@ -24,7 +24,7 @@ from .words import (as_word, cdt, cdes, content, cyclic_descent_set, des,
 DEFAULT_CAP = 10 ** 7
 
 THEOREMS = ("main", "macmahon", "tilde-gf", "maj-mod-n", "vandermonde",
-            "period-g", "flex-maj", "multisubset", "subset-star", "chain",
+            "period-g", "flex-maj", "phi", "multisubset", "subset-star", "chain",
             "mbs", "extension")
 
 
@@ -111,6 +111,8 @@ def cmd_gf(args) -> int:
     alpha = parse_composition(args.alpha, "alpha")
     delta = parse_composition(args.delta, "delta") if args.delta else None
     n = sum(alpha)
+    if args.mod and n == 0:
+        raise UsageError("--mod needs a content with at least one letter")
     size = multinomial(alpha)
     cap = enumeration_cap()
     if size > cap:
@@ -191,6 +193,23 @@ def _single_or_sweep(args, single, sweep) -> dict:
         sweep, collect_instances=not args.failures_only)
 
 
+def _sweep_bounds(args, parts: bool = True) -> dict:
+    """The sweep bounds given on the command line; the others keep the
+    sweep's own defaults.  `parts` says whether the sweep takes --max-parts."""
+    bounds = {}
+    if args.n_max is not None:
+        if args.n_max < 0:
+            raise UsageError("--n-max must be non-negative")
+        bounds["n_max"] = args.n_max
+    if args.max_parts is not None:
+        if not parts:
+            raise UsageError(f"theorem {args.theorem!r} takes no --max-parts")
+        if args.max_parts < 1:
+            raise UsageError("--max-parts must be positive")
+        bounds["max_parts"] = args.max_parts
+    return bounds
+
+
 def _instance_report(key: dict, verdict: Verdict) -> dict:
     report = {"instances_checked": 1, "failures": [], "holds": verdict.holds,
               "instances": [{**key, "holds": verdict.holds}]}
@@ -218,66 +237,72 @@ def cmd_verify(args) -> int:
             single = lambda: _instance_report(
                 {"alpha": alpha, "delta": delta},
                 formulas.verify_main_theorem(alpha, delta))
-        sweep = sweeps.sweep_main(args.n_max or 8, args.max_parts)
+        sweep = sweeps.sweep_main(**_sweep_bounds(args))
     elif name == "macmahon":
         if alpha is not None:
             single = lambda: _instance_report(
                 {"alpha": alpha}, formulas.macmahon_check(alpha))
-        sweep = sweeps.sweep_macmahon(args.n_max or 8)
+        sweep = sweeps.sweep_macmahon(**_sweep_bounds(args))
     elif name in ("tilde-gf", "maj-mod-n"):
         if alpha is not None:
             need(delta is not None, "--delta with --alpha")
             single = lambda: _instance_report(
                 {"alpha": alpha, "delta": delta},
                 formulas.verify_formula_vs_oracle(alpha, delta))
-        sweep = sweeps.sweep_formulas(args.n_max or 10, args.max_parts)
+        sweep = sweeps.sweep_formulas(**_sweep_bounds(args))
     elif name == "vandermonde":
         if alpha is not None:
             single = lambda: _instance_report(
                 {"alpha": alpha}, formulas.vandermonde_check(alpha))
-        sweep = sweeps.sweep_vandermonde(args.n_max or 10, args.max_parts)
+        sweep = sweeps.sweep_vandermonde(**_sweep_bounds(args))
     elif name == "period-g":
         if alpha is not None:
             need(delta is not None, "--delta with --alpha")
             single = lambda: _instance_report(
                 {"alpha": alpha, "delta": delta},
                 formulas.period_g_check(alpha, delta))
-        sweep = sweeps.sweep_period_g(args.n_max or 8, args.max_parts)
+        sweep = sweeps.sweep_period_g(**_sweep_bounds(args))
     elif name == "flex-maj":
         if alpha is not None:
             need(delta is not None, "--delta with --alpha")
             single = lambda: _instance_report(
                 {"alpha": alpha, "delta": delta},
                 formulas.verify_flex_maj_equidistribution(alpha, delta))
-        sweep = sweeps.sweep_flex_maj(args.n_max or 8, args.max_parts)
+        sweep = sweeps.sweep_flex_maj(**_sweep_bounds(args))
+    elif name == "phi":
+        if alpha is not None:
+            need(delta is not None, "--delta with --alpha")
+            single = lambda: _instance_report(
+                {"alpha": alpha, "delta": delta}, sweeps.verify_phi(alpha, delta))
+        sweep = sweeps.sweep_phi(**_sweep_bounds(args))
     elif name == "multisubset":
         if args.n is not None:
             need(args.d is not None and alpha is not None, "--d and --alpha")
             single = lambda: _instance_report(
                 {"n": args.n, "d": args.d, "alpha": alpha},
                 verify_multisubset_refinement(args.n, args.d, alpha))
-        sweep = sweeps.sweep_multisubset(args.n_max or 10)
+        sweep = sweeps.sweep_multisubset(**_sweep_bounds(args, parts=False))
     elif name == "subset-star":
         if args.n is not None:
             need(args.d is not None and alpha is not None, "--d and --alpha")
             single = lambda: _instance_report(
                 {"n": args.n, "d": args.d, "alpha": alpha},
                 verify_subset_star(args.n, args.d, alpha))
-        sweep = sweeps.sweep_subset_star(args.n_max or 10)
+        sweep = sweeps.sweep_subset_star(**_sweep_bounds(args, parts=False))
     elif name == "chain":
         if args.n is not None:
             need(args.k is not None and chain is not None, "--k and --chain")
             single = lambda: _instance_report(
                 {"n": args.n, "k": args.k, "chain": chain},
                 verify_chain_refinement(args.n, args.k, chain))
-        sweep = sweeps.sweep_chains(args.n_max or 12)
+        sweep = sweeps.sweep_chains(**_sweep_bounds(args, parts=False))
     elif name == "mbs":
         if args.n is not None:
             need(args.k is not None and args.b is not None, "--k and --b")
             single = lambda: _instance_report(
                 {"n": args.n, "k": args.k, "b": args.b},
                 verify_mbs_csp(args.n, args.k, args.b))
-        sweep = sweeps.sweep_mbs(args.n_max or 8)
+        sweep = sweeps.sweep_mbs(**_sweep_bounds(args, parts=False))
     elif name == "extension":
         need(alpha is not None and delta is not None, "--alpha and --delta")
         single = lambda: _extension_report(alpha, delta)
@@ -357,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=int)
     p_verify.add_argument("--n-max", type=int, dest="n_max",
                           help="sweep bound (per-theorem default)")
-    p_verify.add_argument("--max-parts", type=int, dest="max_parts", default=4)
+    p_verify.add_argument("--max-parts", type=int, dest="max_parts",
+                          help="parts bound of content sweeps (per-theorem default)")
     p_verify.add_argument("--failures-only", action="store_true",
                           help="omit the per-instance listing from JSON output")
     p_verify.add_argument("--format", choices=("json", "text"), default="json")

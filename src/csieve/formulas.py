@@ -15,9 +15,8 @@ from typing import Iterator
 from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses, check_refinement
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
-from .words import (Composition, Word, cdt, content, enumerate_by_content,
-                    enumerate_by_content_cdt, flex, is_strong, maj, pad_to, rotate,
-                    strip_trailing_zeros)
+from .words import (Composition, enumerate_by_content, enumerate_by_content_cdt, flex,
+                    is_strong, maj, pad_to, rotate)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -191,10 +190,6 @@ def _tally(values) -> dict:
     for v in values:
         out[v] = out.get(v, 0) + 1
     return out
-
-
-def enumerate_w_alpha_delta(alpha, delta) -> Iterator[Word]:
-    yield from enumerate_by_content_cdt(alpha, delta)
 
 
 def rotation_action(carrier) -> CyclicAction:

@@ -12,10 +12,11 @@ multisubset label spaces.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .words import Word, as_word, cdes, content, cdt, is_strong, maj
+from .words import Word, as_word, cdes, content, cdt, is_strong
 
 # A segment is a tuple of 1-based positions, cyclically consecutive in w.
 Segment = tuple[int, ...]
@@ -23,41 +24,46 @@ Segment = tuple[int, ...]
 # each component a sorted tuple of integers.
 PhiImage = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
+# Helpers whose name starts with an underscore take an already validated
+# Word; only the public functions call as_word.
 
-def _segments(w: Word, boundaries: set[int]) -> list[Segment]:
-    """Cyclic segments ending at the given 1-based boundary positions,
-    indexed from the segment containing position 1, then left to right."""
+
+def _fall_ends(w: Word) -> list[int]:
+    """1-based positions p with w_p <= w_{p+1} (cyclically): each ends a fall."""
     n = len(w)
-    if not boundaries:
-        return []
-    starts = sorted((b % n) + 1 for b in boundaries)
+    return [p for p in range(1, n + 1) if w[p - 1] <= w[p % n]]
+
+
+def _run_ends(w: Word) -> list[int]:
+    """1-based cyclic descent positions: each ends a run."""
+    n = len(w)
+    return [p for p in range(1, n + 1) if w[p - 1] > w[p % n]]
+
+
+def _segments(n: int, ends: list[int]) -> list[Segment]:
+    """Cyclic segments of a word of length n ending at the ascending 1-based
+    positions `ends`, indexed from the segment containing position 1, then
+    left to right (that is, in the order of their ends)."""
     segs = []
-    for s in starts:
-        seg = [s]
-        p = s
-        while p not in boundaries:
-            p = p % n + 1
-            seg.append(p)
-        segs.append(tuple(seg))
-    # the segment containing position 1 starts at 1 or wraps (largest start)
-    if starts[0] != 1:
-        segs = segs[-1:] + segs[:-1]
+    last = ends[-1] - n if ends else 0
+    for e in ends:
+        segs.append(tuple((p - 1) % n + 1 for p in range(last + 1, e + 1)))
+        last = e
     return segs
 
 
 def fall_segments(w) -> list[Segment]:
     w = as_word(w)
-    n = len(w)
-    weak_ascents = {p for p in range(1, n + 1) if w[p - 1] <= w[p % n]}
-    return _segments(w, weak_ascents)
+    return _segments(len(w), _fall_ends(w))
 
 
 def run_segments(w) -> list[Segment]:
     w = as_word(w)
-    n = len(w)
-    descents = {p for p in range(1, n + 1) if w[p - 1] > w[p % n]}
-    return _segments(w, descents)   # constant word: no descents, no runs
+    return _segments(len(w), _run_ends(w))   # constant word: no descents, no runs
 
+
+# ---------------------------------------------------------------------------
+# one letter at a time, for any word and letter
 
 def _insertion_index(w: Word, seg: Segment, slot: int) -> int:
     """Linear 0-based index for inserting into a segment after `slot`
@@ -70,7 +76,7 @@ def _insertion_index(w: Word, seg: Segment, slot: int) -> int:
 
 
 def _insert_one_fall(w: Word, letter: int, f: int) -> Word:
-    segs = fall_segments(w)
+    segs = _segments(len(w), _fall_ends(w))
     if not 0 <= f < len(segs):
         raise ValueError(f"no fall with index {f}")
     seg = segs[f]
@@ -83,7 +89,7 @@ def _insert_one_fall(w: Word, letter: int, f: int) -> Word:
 
 
 def _insert_one_run(w: Word, letter: int, r: int) -> Word:
-    segs = run_segments(w)
+    segs = _segments(len(w), _run_ends(w))
     if not 0 <= r < len(segs):
         raise ValueError(f"no run with index {r}")
     seg = segs[r]
@@ -94,7 +100,8 @@ def _insert_one_run(w: Word, letter: int, r: int) -> Word:
 
 
 def insert_into_falls(w, letter: int, falls: Iterable[int]) -> Word:
-    """Insert `letter` into the listed falls (a set of fall indices)."""
+    """Insert `letter` into the listed falls (a set of fall indices), one
+    fall at a time, re-reading the falls after each insertion."""
     w = as_word(w)
     falls = sorted(falls)
     if len(set(falls)) != len(falls):
@@ -105,11 +112,44 @@ def insert_into_falls(w, letter: int, falls: Iterable[int]) -> Word:
 
 
 def insert_into_runs(w, letter: int, runs: Iterable[int]) -> Word:
-    """Insert `letter` into the listed runs (a multiset of run indices)."""
+    """Insert `letter` into the listed runs (a multiset of run indices), one
+    run at a time, re-reading the runs after each insertion."""
     w = as_word(w)
     for r in sorted(runs):
         w = _insert_one_run(w, letter, r)
     return w
+
+
+# ---------------------------------------------------------------------------
+# a new largest letter into a word ending in 1, all falls or runs at once
+#
+# A new largest letter opens a fall (it goes right after the weak ascent
+# ending the previous fall) and closes a run (right after the descent ending
+# it).  Neither renumbers the falls or runs, which count from the one
+# holding position 1: that letter stays put unless a copy opens fall 0 at
+# position 1, and then the copy is in fall 0; a copy never closes a run at
+# position n, as no run of a word ending in 1 ends there.  So one reading of
+# the falls and one of the runs serve all the copies of the letter.
+
+def _insert_before(w: Word, letter: int, indices: Iterable[int]) -> Word:
+    """w with one `letter` inserted before w[i] for each listed 0-based i;
+    a repeated i inserts repeated letters."""
+    out: list[int] = []
+    last = 0
+    for i in sorted(indices):
+        out += w[last:i]
+        out.append(letter)
+        last = i
+    out += w[last:]
+    return tuple(out)
+
+
+def _open_falls(w: Word, fall_ends: list[int], letter: int, falls: Iterable[int]) -> Word:
+    return _insert_before(w, letter, [fall_ends[f - 1] % len(w) for f in falls])
+
+
+def _close_runs(w: Word, run_ends: list[int], letter: int, runs: Iterable[int]) -> Word:
+    return _insert_before(w, letter, [run_ends[r] % len(w) for r in runs])
 
 
 def insert_triple(w, letter: int, falls: Iterable[int], runs: Iterable[int]) -> Word:
@@ -123,12 +163,16 @@ def insert_triple(w, letter: int, falls: Iterable[int], runs: Iterable[int]) -> 
         raise ValueError("inserted letter must exceed every letter present")
     falls = sorted(falls)
     runs = sorted(runs)
-    c = cdes(w)
-    if any(not 0 <= f < len(w) - c for f in falls):
+    fall_ends = _fall_ends(w)
+    if len(set(falls)) != len(falls):
+        raise ValueError("fall indices must be distinct")
+    if any(not 0 <= f < len(fall_ends) for f in falls):
         raise ValueError("fall index out of range")
-    if any(not 0 <= r < c + len(falls) for r in runs):
+    # each opened fall adds a cyclic descent, hence a run
+    if any(not 0 <= r < len(w) - len(fall_ends) + len(falls) for r in runs):
         raise ValueError("run index out of range")
-    return insert_into_runs(insert_into_falls(w, letter, falls), letter, runs)
+    w = _open_falls(w, fall_ends, letter, falls)
+    return _close_runs(w, _run_ends(w), letter, runs)
 
 
 def predicted_maj_increment(w, falls: Sequence[int], runs: Sequence[int]) -> int:
@@ -150,93 +194,60 @@ def phi(w) -> PhiImage:
     if not is_strong(content(w)):
         raise ValueError("phi requires strong content; flatten first")
     out = []
-    cur = list(w)
     for letter in range(max(w), 1, -1):
-        prev = [x for x in cur if x != letter]
-        falls, runs = _recover_triple(cur, prev, letter)
+        w, falls, runs = _recover_triple(w, letter)
         out.append((falls, runs))
-        cur = prev
     return tuple(reversed(out))
 
 
-def _recover_triple(cur: list[int], prev: list[int], letter: int):
-    """The unique (F, R) with insert_triple(prev, letter, F, R) == cur,
-    where letter is the largest letter of cur and prev omits it."""
-    n_cur = len(cur)
-    blocks = []     # maximal blocks of `letter`: (start, size), never wrapping
-    i = 0
-    while i < n_cur:
-        if cur[i] == letter:
-            j = i
-            while j < n_cur and cur[j] == letter:
-                j += 1
-            blocks.append((i, j - i))
-            i = j
-        else:
-            i += 1
-
-    # index in prev of each non-letter position of cur
-    prev_index = {}
-    seen = 0
-    for i, x in enumerate(cur):
+def _recover_triple(cur: Word, letter: int):
+    """(prev, F, R) with insert_triple(prev, letter, F, R) == cur, where
+    letter is the largest letter of cur and prev omits it.  cur ends in 1,
+    so no block of `letter` wraps around."""
+    prev: list[int] = []
+    blocks = []     # [j, size]: a maximal block of `letter` right before prev[j]
+    for x in cur:
         if x != letter:
-            prev_index[i] = seen
-            seen += 1
+            prev.append(x)
+        elif blocks and blocks[-1][0] == len(prev):
+            blocks[-1][1] += 1
+        else:
+            blocks.append([len(prev), 1])
+    prev = tuple(prev)
 
     # A block sits in a cyclic gap between prev letters a (before) and b
-    # (after).  A weak ascent a <= b means the block ends with the single
-    # letter inserted into the fall of prev starting at b; a descent means
-    # a pure run block.
-    prev_falls = fall_segments(tuple(prev))
-    fall_start = {seg[0]: idx for idx, seg in enumerate(prev_falls)}
+    # (after).  A weak ascent a <= b means the block starts with the letter
+    # inserted into the fall holding b, and its other copies went into the
+    # run that letter closes; a descent means a pure run block, in the run
+    # holding a.  The segment holding the 0-based position i is the first
+    # one ending at or after position i + 1, or segment 0 past the last end.
+    fall_ends = _fall_ends(prev)
     falls = []
-    fall_blocks = set()
-    for start, size in blocks:
-        a = cur[start - 1] if start else cur[-1]
-        b = cur[start + size]
-        if a <= b:
-            fall_blocks.add((start, size))
-            falls.append(fall_start[prev_index[start + size] + 1])
-    falls.sort()
-
-    # intermediate word: drop the run-inserted letters, keep fall ones
-    w_prime = []
-    keep = set()    # cur indices surviving into w_prime
-    for start, size in blocks:
-        if (start, size) in fall_blocks:
-            keep.add(start + size - 1)
-    for i, x in enumerate(cur):
-        if x != letter or i in keep:
-            w_prime.append(x)
+    w_prime: list[int] = []     # cur without its run-inserted letters
+    anchors = []                # per run-inserted copy: index in w_prime it follows
+    last = 0
+    for j, size in blocks:
+        w_prime += prev[last:j]
+        last = j
+        if prev[j - 1] <= prev[j]:
+            falls.append(bisect_left(fall_ends, j + 1) % len(fall_ends))
+            w_prime.append(letter)
+            size -= 1
+        anchors += [len(w_prime) - 1] * size
+    w_prime += prev[last:]
     w_prime = tuple(w_prime)
-    if w_prime != insert_into_falls(tuple(prev), letter, falls):
+    falls.sort()
+    # Re-inserting at the recovered labels checks that every block sits at
+    # the opening of a fall, then at the close of a run.
+    if w_prime != _open_falls(prev, fall_ends, letter, falls):
         raise RuntimeError("fall recovery failed; invariant violated")
 
-    wp_index = {}
-    seen = 0
-    for i, x in enumerate(cur):
-        if x != letter or i in keep:
-            wp_index[i] = seen
-            seen += 1
-    run_of_position = {}
-    for idx, seg in enumerate(run_segments(w_prime)):
-        for p in seg:
-            run_of_position[p - 1] = idx
-
-    runs = []
-    for start, size in blocks:
-        if (start, size) in fall_blocks:
-            count = size - 1
-            anchor = start + size - 1          # the fall-inserted letter
-        else:
-            count = size
-            anchor = start - 1 if start else len(cur) - 1
-        if count:
-            runs.extend([run_of_position[wp_index[anchor]]] * count)
-    runs.sort()
-    if insert_into_runs(w_prime, letter, runs) != tuple(cur):
+    run_ends = _run_ends(w_prime)
+    runs = sorted(bisect_left(run_ends, a % len(w_prime) + 1) % len(run_ends)
+                  for a in anchors)
+    if _close_runs(w_prime, run_ends, letter, runs) != cur:
         raise RuntimeError("run recovery failed; invariant violated")
-    return tuple(falls), tuple(runs)
+    return prev, tuple(falls), tuple(runs)
 
 
 def _prefix_sums(alpha, delta):
@@ -296,19 +307,39 @@ def phi_inverse(image: PhiImage, alpha, delta) -> Word:
     return w
 
 
-def leaves(alpha, delta) -> Iterator[Word]:
-    """All words of content alpha and cyclic descent type delta ending in 1,
-    each exactly once, via the label product."""
+def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]:
+    """Depth-first walk of the insertion tree of the words of content alpha
+    and cyclic descent type delta ending in 1.
+
+    Yields (parent, path, word) for every node in preorder: first the root
+    1^alpha_1 with parent None and an empty path, then each child, built
+    once from its parent by insert_triple along the edge labelled path[-1].
+    The leaves are the nodes whose path has len(alpha) - 1 labels; by the
+    bijection, their path is their phi image."""
     alpha, delta = _validate_params(alpha, delta)
     if delta[0] != 0:
-        return
-    spaces = label_spaces(alpha, delta)
-    per_letter = [list(itertools.product(fs, rs)) for fs, rs in spaces]
-    for labels in itertools.product(*per_letter):
-        w = (1,) * alpha[0]
-        for l, (falls, runs) in enumerate(labels, start=2):
-            w = insert_triple(w, l, falls, runs)
-        yield w
+        return iter(())
+    per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(alpha, delta)]
+
+    def visit(parent, path, w):
+        yield parent, path, w
+        if len(path) < len(per_letter):
+            letter = len(path) + 2
+            for falls, runs in per_letter[len(path)]:
+                yield from visit(w, path + ((falls, runs),),
+                                 insert_triple(w, letter, falls, runs))
+
+    return visit(None, (), (1,) * alpha[0])
+
+
+def leaves(alpha, delta) -> Iterator[Word]:
+    """All words of content alpha and cyclic descent type delta ending in 1,
+    each exactly once: the leaves of the insertion tree."""
+    alpha, delta = _validate_params(alpha, delta)
+    depth = len(alpha) - 1
+    for _, path, w in insertion_tree(alpha, delta):
+        if len(path) == depth:
+            yield w
 
 
 # ---------------------------------------------------------------------------

@@ -59,16 +59,6 @@ def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return normalize(out)
 
 
-def poly_scale(a: IntPoly, c: int) -> IntPoly:
-    if c == 0:
-        return ZERO
-    return tuple(c * x for x in a)
-
-
-def poly_degree(a: IntPoly) -> int:
-    return len(a) - 1  # -1 for the zero polynomial
-
-
 def poly_divmod(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Division with remainder; requires b monic."""
     if not b:

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .actions import CyclicAction, Verdict, check_csp, check_refinement, orbits
 from .qpoly import ResiduePoly, has_period
 from .words import Composition
 
 IndexTuple = tuple[int, ...]
-
-
-def sum_stat(a: Iterable[int]) -> int:
-    return sum(a)
 
 
 def sum_prime(a) -> int:
@@ -282,6 +278,8 @@ def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
 
 
 def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
+    if n < 1:
+        raise ValueError("mbs needs n >= 1")
     carrier = tuple(enumerate_s_kb(n, k, b))
     if not carrier:
         return Verdict(True, None)

@@ -10,18 +10,18 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator
 
-from .actions import Verdict, check_csp, check_refinement
-from .insertion import label_spaces, leaves, phi, phi_inverse, predicted_maj_increment
+from .actions import Verdict, check_refinement
+from .insertion import insertion_tree, phi, predicted_maj_increment
 from .formulas import (brute_gf, count_w_alpha_delta, feasible_deltas, is_nonempty,
                        macmahon_check, maj_gf_mod_n, params, period_g_check,
                        rotation_action, tilde_maj_gf, vandermonde_check,
                        verify_flex_universal)
-from .qpoly import ResiduePoly, has_period
+from .qpoly import ResiduePoly
 from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (cdt, enumerate_by_content, flex, maj, necklace, pad_to,
-                    strip_trailing_zeros, strong_compositions)
+from .words import (Word, cdt, enumerate_by_content, flex, maj, necklace, pad_to,
+                    strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -88,45 +88,72 @@ def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
             yield {"alpha": alpha, "delta": delta}, Verdict(witness is None, witness)
 
 
+def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
+    """The words of strong content alpha that end in 1, grouped by padded
+    cyclic descent type: brute-force enumeration, independent of insertion."""
+    alpha = tuple(alpha)
+    m = len(alpha)
+    groups: dict[tuple, set[Word]] = {}
+    for u in enumerate_by_content((alpha[0] - 1,) + alpha[1:]):
+        w = u + (1,)
+        groups.setdefault(pad_to(cdt(w), m), set()).add(w)
+    return groups
+
+
+def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
+    """The insertion bijection on one instance, in one walk of its tree:
+    every edge's predicted maj increment matches the actual change, phi of
+    every leaf returns the labels of its path, and the leaves are exactly
+    the `enumerated` words ending in 1 (by default, from
+    words_ending_in_one), each built once."""
+    p = params(alpha, delta)
+    if enumerated is None:
+        enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
+    depth = p.m - 1
+    built: set[Word] = set()
+    leaf_count = 0
+    extra = None        # the first leaf built twice or not enumerated
+    for parent, path, w in insertion_tree(p.alpha, p.delta):
+        if parent is not None:
+            falls, runs = path[-1]
+            predicted = predicted_maj_increment(parent, falls, runs)
+            actual = maj(w) - maj(parent)
+            if actual != predicted:
+                return Verdict(False, {
+                    "check": "maj-increment", "word": parent, "letter": len(path) + 1,
+                    "falls": falls, "runs": runs,
+                    "predicted": predicted, "actual": actual})
+        if len(path) == depth:
+            image = phi(w)
+            if image != path:
+                return Verdict(False, {"check": "roundtrip", "word": w,
+                                       "labels": path, "phi": image})
+            if extra is None and (w in built or w not in enumerated):
+                extra = w
+            built.add(w)
+            leaf_count += 1
+    missing = min(enumerated - built, default=None)
+    if extra is not None or missing is not None:
+        return Verdict(False, {"check": "leaf-set", "built": leaf_count,
+                               "enumerated": len(enumerated),
+                               "missing": missing, "extra": extra})
+    return Verdict(True, None)
+
+
 def sweep_phi(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
-    """Bijectivity of the insertion encoding: over the whole label product,
-    rebuilding then re-reading is the identity, the rebuilt words are
-    exactly the enumerated words ending in 1, and every edge's predicted
-    maj increment matches the actual change."""
+    """Bijectivity of the insertion encoding (verify_phi) on every feasible
+    content/CDT class; the leaf-set oracle enumerates each content's words
+    ending in 1 once."""
     for alpha in iter_contents(n_max, max_parts):
-        m = len(alpha)
-        ending_in_one = {}
-        for delta, words in cdt_groups(alpha).items():
-            ending_in_one[delta] = {w for w in words if w[-1] == 1}
+        ending_in_one = words_ending_in_one(alpha)
         for delta in feasible_deltas(alpha):
-            witness = None
-            built = set()
-            for w in leaves(alpha, delta):
-                image = phi(w)
-                if phi_inverse(image, alpha, delta) != w:
-                    witness = {"check": "roundtrip", "word": w}
-                    break
-                rebuilt = (1,) * alpha[0]
-                ok = True
-                for l, (falls, runs) in enumerate(image, start=2):
-                    before = maj(rebuilt)
-                    predicted = predicted_maj_increment(rebuilt, falls, runs)
-                    from .insertion import insert_triple
-                    rebuilt = insert_triple(rebuilt, l, falls, runs)
-                    if maj(rebuilt) - before != predicted:
-                        witness = {"check": "maj-increment", "word": w, "letter": l}
-                        ok = False
-                        break
-                if not ok:
-                    break
-                built.add(w)
-            if witness is None and built != ending_in_one.get(delta, set()):
-                witness = {"check": "leaf-set"}
-            yield {"alpha": alpha, "delta": delta}, Verdict(witness is None, witness)
+            yield ({"alpha": alpha, "delta": delta},
+                   verify_phi(alpha, delta, ending_in_one.get(delta, set())))
 
 
 def sweep_macmahon(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
-    for alpha in iter_contents(n_max, max_parts or n_max):
+    """MacMahon's equidistribution on every content; all parts by default."""
+    for alpha in iter_contents(n_max, n_max if max_parts is None else max_parts):
         yield {"alpha": alpha}, macmahon_check(alpha)
 
 

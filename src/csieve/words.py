@@ -6,7 +6,6 @@ positions.  Compositions are plain tuples of non-negative integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -217,11 +216,3 @@ def enumerate_by_content_cdt(alpha, delta) -> Iterator[Word]:
     for w in enumerate_by_content(alpha):
         if strip_trailing_zeros(cdt(w)) == delta:
             yield w
-
-
-def gcd_of_content_and_cdt(alpha, delta) -> int:
-    parts = tuple(alpha) + tuple(delta)
-    g = math.gcd(*parts) if parts else 0
-    if g == 0:
-        raise ValueError("gcd undefined for all-zero input")
-    return g

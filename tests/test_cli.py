@@ -121,3 +121,40 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_verify_phi_single_instance_and_sweep(capsys):
+    code, out, _ = run(capsys, "verify", "phi", "--alpha", "4,2,3",
+                       "--delta", "0,2,1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["holds"] is True and report["instances_checked"] == 1
+    code, out, _ = run(capsys, "verify", "phi", "--n-max", "4", "--format", "text")
+    assert code == 0
+    assert out.startswith("phi: checked 23 instance(s), holds=True")
+
+
+def test_verify_n_max_zero_runs_no_instance(capsys):
+    code, out, _ = run(capsys, "verify", "main", "--n-max", "0")
+    assert code == 0
+    assert json.loads(out)["instances_checked"] == 0
+
+
+def test_verify_macmahon_honours_max_parts(capsys):
+    code, out, _ = run(capsys, "verify", "macmahon", "--n-max", "3",
+                       "--max-parts", "1")
+    assert code == 0
+    assert [i["alpha"] for i in json.loads(out)["instances"]] == [[1], [2], [3]]
+
+
+def test_gf_mod_of_empty_content_exits_2(capsys):
+    code, out, err = run(capsys, "gf", "--alpha", "0", "--mod")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_mbs_n_zero_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "mbs", "--n", "0", "--k", "0",
+                         "--b", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,13 +2,16 @@
 their insertion labels."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from csieve.formulas import feasible_deltas
 from csieve.insertion import (fall_segments, image_multiplicity_words,
                               insert_into_falls, insert_into_runs,
-                              insert_triple, label_spaces, leaves, phi,
-                              phi_inverse, power_image,
+                              insert_triple, insertion_tree, label_spaces,
+                              leaves, phi, phi_inverse, power_image,
                               predicted_maj_increment, run_segments)
-from csieve.words import as_word, cdt, content, maj
+from csieve.words import (as_word, content, enumerate_by_content_cdt, maj,
+                          strong_compositions)
 
 
 def letters_of(w, seg):
@@ -46,6 +49,8 @@ def test_insert_triple_guards():
         insert_triple((1, 1), 2, [5], [])         # fall index out of range
     with pytest.raises(ValueError):
         insert_into_falls((2, 1), 3, [0, 0])      # repeated fall index
+    with pytest.raises(ValueError):
+        insert_triple((2, 1, 1), 3, [0, 0], [])   # repeated fall index
 
 
 def test_insertion_path_example():
@@ -120,3 +125,49 @@ def test_phi_inverse_rejects_bad_labels():
         phi_inverse((((9,), ()),), (2, 1), (0, 1))
     with pytest.raises(ValueError):
         phi_inverse((((0,), ()),), (2, 1), (0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# properties of the insertion tree, for every strong content with n <= 7
+
+STRONG_CONTENTS = [alpha for n in range(1, 8) for parts in range(1, n + 1)
+                   for alpha in strong_compositions(n, parts)]
+
+
+@st.composite
+def instances(draw):
+    alpha = draw(st.sampled_from(STRONG_CONTENTS))
+    return alpha, draw(st.sampled_from(list(feasible_deltas(alpha))))
+
+
+def one_index_at_a_time(w, letter, falls, runs):
+    for f in falls:
+        w = insert_into_falls(w, letter, [f])
+    for r in runs:
+        w = insert_into_runs(w, letter, [r])
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_batched_insertion_matches_one_index_at_a_time(instance):
+    for parent, path, w in insertion_tree(*instance):
+        if parent is not None:
+            falls, runs = path[-1]
+            assert w == one_index_at_a_time(parent, len(path) + 1, falls, runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_leaves_are_the_words_ending_in_one(instance):
+    expected = [w for w in enumerate_by_content_cdt(*instance) if w[-1] == 1]
+    assert sorted(leaves(*instance)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_phi_of_each_leaf_is_its_path(instance):
+    depth = len(instance[0]) - 1
+    for _, path, w in insertion_tree(*instance):
+        if len(path) == depth:
+            assert phi(w) == path

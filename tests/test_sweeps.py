@@ -1,0 +1,51 @@
+"""The criterion-4 sweep: one walk of each insertion tree, and witnesses
+that carry enough to reproduce a failure."""
+
+from csieve import sweeps
+from csieve.insertion import insert_triple, phi
+from csieve.words import maj
+
+
+def test_sweep_phi_small():
+    report = sweeps.run_sweep(sweeps.sweep_phi(6, 4))
+    assert report["holds"] is True
+    assert report["instances_checked"] == 160
+
+
+def test_words_ending_in_one_groups_by_cdt():
+    groups = sweeps.words_ending_in_one((3, 1, 1))
+    assert groups[(0, 1, 0)] == {(2, 3, 1, 1, 1), (1, 2, 3, 1, 1), (1, 1, 2, 3, 1)}
+    assert sum(len(ws) for ws in groups.values()) == 12    # 5!/(3! 1! 1!) * 3/5
+
+
+def test_maj_increment_witness(monkeypatch):
+    real = sweeps.predicted_maj_increment
+    monkeypatch.setattr(sweeps, "predicted_maj_increment",
+                        lambda w, falls, runs: real(w, falls, runs) + 1)
+    verdict = sweeps.verify_phi((4, 2, 3), (0, 2, 1))
+    witness = verdict.witness
+    assert verdict.holds is False
+    assert witness["check"] == "maj-increment"
+    assert witness["predicted"] == witness["actual"] + 1
+    child = insert_triple(witness["word"], witness["letter"],
+                          witness["falls"], witness["runs"])
+    assert maj(child) - maj(witness["word"]) == witness["actual"]
+
+
+def test_roundtrip_witness(monkeypatch):
+    monkeypatch.setattr(sweeps, "phi", lambda w: ())
+    verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0))
+    witness = verdict.witness
+    assert verdict.holds is False
+    assert witness["check"] == "roundtrip"
+    assert witness["phi"] == ()
+    assert phi(witness["word"]) == witness["labels"]
+
+
+def test_leaf_set_witness():
+    enumerated = sweeps.words_ending_in_one((3, 1, 1))[(0, 1, 0)]
+    short = enumerated - {(1, 1, 2, 3, 1)}
+    verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0), short | {(2, 1, 3, 1, 1)})
+    assert verdict.holds is False
+    assert verdict.witness == {"check": "leaf-set", "built": 3, "enumerated": 3,
+                               "missing": (2, 1, 3, 1, 1), "extra": (1, 1, 2, 3, 1)}
