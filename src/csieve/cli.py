@@ -8,24 +8,25 @@ output), 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
-from math import factorial
 
 from . import formulas, sweeps
-from .actions import Verdict
-from .qpoly import poly_text, q_multinomial
-from .subsets import (verify_chain_refinement, verify_mbs_csp,
-                      verify_multisubset_refinement, verify_subset_star)
+from .qpoly import poly_text, q_multinomial, reduce
 from .words import (as_word, cdt, cdes, content, cyclic_descent_set, des,
-                    descent_set, flex, freq, inv, lex, maj, pad_to, period)
+                    descent_set, enumerate_by_content, enumerate_by_content_cdt,
+                    flex, freq, inv, lex, maj, pad_to, period)
 
 DEFAULT_CAP = 10 ** 7
 
-THEOREMS = ("main", "macmahon", "tilde-gf", "maj-mod-n", "vandermonde",
-            "period-g", "flex-maj", "phi", "multisubset", "subset-star", "chain",
-            "mbs", "extension")
+# Every instance parameter of the theorem table is an option of verify.
+# Those listed here, with their help, are comma lists; the others integers.
+INSTANCE_PARAMS = tuple(dict.fromkeys(
+    p for theorem in sweeps.THEOREMS.values() for p in theorem.params))
+COMPOSITIONS = {"alpha": "content, e.g. 2,2", "delta": "cyclic descent type, e.g. 0,2",
+                "chain": "divisor chain, ascending, ending in n"}
 
 
 class UsageError(Exception):
@@ -64,11 +65,12 @@ def enumeration_cap() -> int:
         raise UsageError(f"CSIEVE_CAP must be an integer, got {raw!r}")
 
 
-def multinomial(alpha) -> int:
-    out = factorial(sum(alpha))
-    for a in alpha:
-        out //= factorial(a)
-    return out
+def check_cap(size: int) -> None:
+    """Refuse to enumerate more than the cap of objects."""
+    cap = enumeration_cap()
+    if size > cap:
+        raise UsageError(f"refusing to enumerate {size} objects (cap {cap}; "
+                         f"set CSIEVE_CAP to override)")
 
 
 # ---------------------------------------------------------------------------
@@ -113,31 +115,14 @@ def cmd_gf(args) -> int:
     n = sum(alpha)
     if args.mod and n == 0:
         raise UsageError("--mod needs a content with at least one letter")
-    size = multinomial(alpha)
-    cap = enumeration_cap()
-    if size > cap:
-        print(f"refusing to enumerate {size} words (cap {cap}; "
-              f"set CSIEVE_CAP to override)", file=sys.stderr)
-        return 2
+    check_cap(formulas.multinomial(alpha))
 
-    from .words import enumerate_by_content, enumerate_by_content_cdt
     if delta is None:
         words = list(enumerate_by_content(alpha))
     else:
         words = list(enumerate_by_content_cdt(alpha, delta))
-    stat = _stat_fn(args.stat)
-    tally: dict[int, int] = {}
-    for w in words:
-        v = stat(w)
-        tally[v] = tally.get(v, 0) + 1
-    coeffs = [0] * (max(tally) + 1 if tally else 1)
-    for e, c in tally.items():
-        coeffs[e] = c
-    if args.mod:
-        folded = [0] * n
-        for e, c in tally.items():
-            folded[e % n] += c
-        coeffs = folded
+    poly = formulas.tally(map(_stat_fn(args.stat), words))
+    coeffs = list(reduce(poly, n).coeffs if args.mod else poly or (0,))
 
     report = {"alpha": list(alpha), "stat": args.stat, "count": len(words),
               "coefficients": coeffs, "polynomial": poly_text(coeffs)}
@@ -146,7 +131,7 @@ def cmd_gf(args) -> int:
 
     exit_code = 0
     if args.formula:
-        verdict = _gf_formula(alpha, delta, args.stat, tally, n)
+        verdict = _gf_formula(alpha, delta, args.stat, poly, n)
         report.update(verdict)
         if not verdict["equal"]:
             exit_code = 1
@@ -166,151 +151,80 @@ def cmd_gf(args) -> int:
     return exit_code
 
 
-def _gf_formula(alpha, delta, stat, tally, n) -> dict:
+def _gf_formula(alpha, delta, stat, poly, n) -> dict:
+    """The closed form beside the enumerated polynomial `poly`."""
     if stat != "maj":
         raise UsageError("--formula is only available for the maj statistic")
     if delta is None:
         closed = q_multinomial(n, alpha)
-        equal = {e: c for e, c in enumerate(closed) if c} == tally
-        return {"formula": poly_text(closed), "equal": equal}
+        return {"formula": poly_text(closed), "equal": poly == closed}
     flat_alpha, flat_delta = formulas.flatten(alpha, pad_to(delta, len(alpha)))
     if not flat_alpha:
         flat_alpha, flat_delta = (n,), (0,)
     closed = formulas.maj_gf_mod_n(flat_alpha, flat_delta)
-    brute = [0] * n
-    for e, c in tally.items():
-        brute[e % n] += c
     return {"formula": closed.text(), "formula_modulus": n,
-            "equal": tuple(brute) == closed.coeffs}
+            "equal": reduce(poly, n) == closed}
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _single_or_sweep(args, single, sweep) -> dict:
-    """Run one instance when its parameters were given, else the sweep."""
-    return single() if single is not None else sweeps.run_sweep(
-        sweep, collect_instances=not args.failures_only)
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-def _sweep_bounds(args, parts: bool = True) -> dict:
+def _sweep_bounds(args, name: str, sweep) -> dict:
     """The sweep bounds given on the command line; the others keep the
-    sweep's own defaults.  `parts` says whether the sweep takes --max-parts."""
-    bounds = {}
-    if args.n_max is not None:
-        if args.n_max < 0:
-            raise UsageError("--n-max must be non-negative")
-        bounds["n_max"] = args.n_max
-    if args.max_parts is not None:
-        if not parts:
-            raise UsageError(f"theorem {args.theorem!r} takes no --max-parts")
-        if args.max_parts < 1:
-            raise UsageError("--max-parts must be positive")
-        bounds["max_parts"] = args.max_parts
+    sweep's own defaults.  A theorem without a sweep takes none, and only
+    a sweep with a max_parts parameter takes --max-parts."""
+    bounds = {b: getattr(args, b) for b in ("n_max", "max_parts")
+              if getattr(args, b) is not None}
+    if bounds and sweep is None:
+        raise UsageError(f"theorem {name!r} has no sweep; it takes no {_flags(bounds)}")
+    if "max_parts" in bounds and "max_parts" not in inspect.signature(sweep).parameters:
+        raise UsageError(f"theorem {name!r} takes no --max-parts")
+    if bounds.get("n_max", 0) < 0:
+        raise UsageError("--n-max must be non-negative")
+    if bounds.get("max_parts", 1) < 1:
+        raise UsageError("--max-parts must be positive")
     return bounds
 
 
-def _instance_report(key: dict, verdict: Verdict) -> dict:
-    report = {"instances_checked": 1, "failures": [], "holds": verdict.holds,
-              "instances": [{**key, "holds": verdict.holds}]}
-    if not verdict.holds:
-        report["failures"].append({**key, "witness": verdict.witness})
-    return report
+def _instance(args, name: str, params, given) -> dict:
+    """The instance given on the command line, parsed, in the order of the
+    theorem's parameters."""
+    unknown = [p for p in given if p not in params]
+    if unknown:
+        raise UsageError(f"theorem {name!r} takes no {_flags(unknown)}")
+    missing = [p for p in params if p not in given]
+    if missing:
+        raise UsageError(f"theorem {name!r} needs {_flags(missing)}")
+    key = {p: parse_composition(getattr(args, p), p) if p in COMPOSITIONS
+           else getattr(args, p) for p in params}
+    if "delta" in key and len(key["delta"]) < len(key["alpha"]):
+        key["delta"] = pad_to(key["delta"], len(key["alpha"]))
+    return key
 
 
 def cmd_verify(args) -> int:
+    """Check the instance given on the command line, or else run the
+    theorem's sweep within the bounds given."""
     name = args.theorem
-    alpha = parse_composition(args.alpha, "alpha") if args.alpha else None
-    delta = parse_composition(args.delta, "delta") if args.delta else None
-    chain = parse_composition(args.chain, "chain") if args.chain else None
-    if alpha is not None and delta is not None and len(delta) < len(alpha):
-        delta = pad_to(delta, len(alpha))
-
-    def need(cond, what):
-        if not cond:
-            raise UsageError(f"theorem {name!r} needs {what}")
-
-    single = None
-    if name == "main":
-        if alpha is not None:
-            need(delta is not None, "--delta with --alpha")
-            single = lambda: _instance_report(
-                {"alpha": alpha, "delta": delta},
-                formulas.verify_main_theorem(alpha, delta))
-        sweep = sweeps.sweep_main(**_sweep_bounds(args))
-    elif name == "macmahon":
-        if alpha is not None:
-            single = lambda: _instance_report(
-                {"alpha": alpha}, formulas.macmahon_check(alpha))
-        sweep = sweeps.sweep_macmahon(**_sweep_bounds(args))
-    elif name in ("tilde-gf", "maj-mod-n"):
-        if alpha is not None:
-            need(delta is not None, "--delta with --alpha")
-            single = lambda: _instance_report(
-                {"alpha": alpha, "delta": delta},
-                formulas.verify_formula_vs_oracle(alpha, delta))
-        sweep = sweeps.sweep_formulas(**_sweep_bounds(args))
-    elif name == "vandermonde":
-        if alpha is not None:
-            single = lambda: _instance_report(
-                {"alpha": alpha}, formulas.vandermonde_check(alpha))
-        sweep = sweeps.sweep_vandermonde(**_sweep_bounds(args))
-    elif name == "period-g":
-        if alpha is not None:
-            need(delta is not None, "--delta with --alpha")
-            single = lambda: _instance_report(
-                {"alpha": alpha, "delta": delta},
-                formulas.period_g_check(alpha, delta))
-        sweep = sweeps.sweep_period_g(**_sweep_bounds(args))
-    elif name == "flex-maj":
-        if alpha is not None:
-            need(delta is not None, "--delta with --alpha")
-            single = lambda: _instance_report(
-                {"alpha": alpha, "delta": delta},
-                formulas.verify_flex_maj_equidistribution(alpha, delta))
-        sweep = sweeps.sweep_flex_maj(**_sweep_bounds(args))
-    elif name == "phi":
-        if alpha is not None:
-            need(delta is not None, "--delta with --alpha")
-            single = lambda: _instance_report(
-                {"alpha": alpha, "delta": delta}, sweeps.verify_phi(alpha, delta))
-        sweep = sweeps.sweep_phi(**_sweep_bounds(args))
-    elif name == "multisubset":
-        if args.n is not None:
-            need(args.d is not None and alpha is not None, "--d and --alpha")
-            single = lambda: _instance_report(
-                {"n": args.n, "d": args.d, "alpha": alpha},
-                verify_multisubset_refinement(args.n, args.d, alpha))
-        sweep = sweeps.sweep_multisubset(**_sweep_bounds(args, parts=False))
-    elif name == "subset-star":
-        if args.n is not None:
-            need(args.d is not None and alpha is not None, "--d and --alpha")
-            single = lambda: _instance_report(
-                {"n": args.n, "d": args.d, "alpha": alpha},
-                verify_subset_star(args.n, args.d, alpha))
-        sweep = sweeps.sweep_subset_star(**_sweep_bounds(args, parts=False))
-    elif name == "chain":
-        if args.n is not None:
-            need(args.k is not None and chain is not None, "--k and --chain")
-            single = lambda: _instance_report(
-                {"n": args.n, "k": args.k, "chain": chain},
-                verify_chain_refinement(args.n, args.k, chain))
-        sweep = sweeps.sweep_chains(**_sweep_bounds(args, parts=False))
-    elif name == "mbs":
-        if args.n is not None:
-            need(args.k is not None and args.b is not None, "--k and --b")
-            single = lambda: _instance_report(
-                {"n": args.n, "k": args.k, "b": args.b},
-                verify_mbs_csp(args.n, args.k, args.b))
-        sweep = sweeps.sweep_mbs(**_sweep_bounds(args, parts=False))
-    elif name == "extension":
-        need(alpha is not None and delta is not None, "--alpha and --delta")
-        single = lambda: _extension_report(alpha, delta)
-        sweep = iter(())
+    theorem = sweeps.THEOREMS[name]
+    bounds = _sweep_bounds(args, name, theorem.sweep)
+    given = [p for p in INSTANCE_PARAMS if getattr(args, p) is not None]
+    if given or theorem.sweep is None:
+        if bounds:
+            raise UsageError(f"the sweep bounds {_flags(bounds)} cannot be given "
+                             f"with an instance")
+        key = _instance(args, name, theorem.params, given)
+        if theorem.size is not None:
+            check_cap(theorem.size(**key))
+        items = iter([(key, theorem.verify(**key))])
     else:
-        raise UsageError(f"unknown theorem {name!r}")
+        items = theorem.sweep(**bounds)
 
-    report = _single_or_sweep(args, single, sweep)
+    report = sweeps.run_sweep(items, collect_instances=not args.failures_only)
     report["theorem"] = name
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -320,31 +234,6 @@ def cmd_verify(args) -> int:
         for failure in report["failures"]:
             print(f"  FAIL {failure}")
     return 0 if report["holds"] else 1
-
-
-def _extension_report(alpha, delta) -> dict:
-    from .actions import check_extension_hypotheses
-    from .words import enumerate_by_content_cdt
-    flat = formulas.flatten(alpha, delta)
-    if not flat[0]:
-        raise UsageError("alpha must have a positive part")
-    p = formulas.params(*flat)
-    words = tuple(enumerate_by_content_cdt(p.alpha, p.delta))
-    if not words:
-        return {"instances_checked": 1, "failures": [], "holds": True,
-                "instances": [{"alpha": alpha, "delta": delta, "holds": True,
-                               "note": "empty word class"}]}
-    f = formulas.brute_gf(words, p.n, maj)
-    report = check_extension_hypotheses(
-        formulas.rotation_action(words), p.g, f)
-    holds = report.full_csp.holds
-    out = {"instances_checked": 1, "holds": holds, "failures": [],
-           "instances": [{"alpha": alpha, "delta": delta, "g": p.g,
-                          "holds": holds, "report": report.to_json()}]}
-    if not holds:
-        out["failures"].append({"alpha": alpha, "delta": delta,
-                                "witness": report.to_json()})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gf.set_defaults(func=cmd_gf)
 
     p_verify = sub.add_parser("verify", help="run a theorem verifier")
-    p_verify.add_argument("theorem", choices=THEOREMS)
-    p_verify.add_argument("--alpha")
-    p_verify.add_argument("--delta")
-    p_verify.add_argument("--chain", help="divisor chain, ascending, ending in n")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--k", type=int)
-    p_verify.add_argument("--b", type=int)
-    p_verify.add_argument("--d", type=int)
+    p_verify.add_argument("theorem", choices=sweeps.THEOREMS)
+    for param in INSTANCE_PARAMS:
+        p_verify.add_argument(f"--{param}", help=COMPOSITIONS.get(param),
+                              type=str if param in COMPOSITIONS else int)
     p_verify.add_argument("--n-max", type=int, dest="n_max",
                           help="sweep bound (per-theorem default)")
     p_verify.add_argument("--max-parts", type=int, dest="max_parts",

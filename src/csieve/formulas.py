@@ -9,20 +9,28 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, factorial, gcd
 from typing import Iterator
 
-from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses, check_refinement
+from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
 from .words import (Composition, enumerate_by_content, enumerate_by_content_cdt, flex,
-                    is_strong, maj, pad_to, rotate)
+                    inv, is_strong, maj, necklace, pad_to, rotate)
 
 
 def multichoose(a: int, b: int) -> int:
     if b == 0:
         return 1
     return comb(a + b - 1, b) if a > 0 else 0
+
+
+def multinomial(alpha) -> int:
+    """n! / (alpha_1! ... alpha_m!): the number of words of content alpha."""
+    out = factorial(sum(alpha))
+    for a in alpha:
+        out //= factorial(a)
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,15 +189,26 @@ def feasible_deltas(alpha) -> Iterator[Composition]:
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
-def brute_gf(words, n: int, stat) -> ResiduePoly:
-    return ResiduePoly.from_terms(n, _tally(stat(w) for w in words))
-
-
-def _tally(values) -> dict:
-    out: dict = {}
+def tally(values) -> IntPoly:
+    """The polynomial sum of q^v over the non-negative integers v in
+    `values`: coefficient i counts the values equal to i."""
+    counts: dict[int, int] = {}
     for v in values:
-        out[v] = out.get(v, 0) + 1
-    return out
+        counts[v] = counts.get(v, 0) + 1
+    if counts and min(counts) < 0:
+        raise ValueError("tally needs non-negative values")
+    out = [0] * (max(counts, default=-1) + 1)
+    for v, c in counts.items():
+        out[v] = c
+    return tuple(out)
+
+
+def brute_gf(carrier, n: int, stat) -> ResiduePoly:
+    """Sum of q^stat(x) over the carrier, as a residue mod q^n - 1."""
+    out = [0] * n
+    for x in carrier:
+        out[stat(x) % n] += 1
+    return ResiduePoly(n, tuple(out))
 
 
 def rotation_action(carrier) -> CyclicAction:
@@ -199,43 +218,66 @@ def rotation_action(carrier) -> CyclicAction:
     return CyclicAction(len(carrier[0]), carrier, lambda w: rotate(w, 1))
 
 
+def _word_class(p: InstanceParams, words):
+    """The given words of the class, or else the class enumerated."""
+    return tuple(enumerate_by_content_cdt(p.alpha, p.delta)) if words is None else words
+
+
 # ---------------------------------------------------------------------------
-# theorem verifiers (single instance; sweeps live in the sweeps module)
+# theorem verifiers, one instance each.  A sweep that has already
+# enumerated the class passes its words; without them a verifier
+# enumerates the class itself.
 
-def verify_main_theorem(alpha, delta) -> Verdict:
+def verify_main_theorem(alpha, delta, words=None) -> Verdict:
     """The refinement CSP: rotation on the words of content alpha and CDT
-    delta, against their maj generating function.  Checks closure inside
-    the full content class and the extension-lemma hypotheses at g."""
+    delta, against their maj generating function.  Building the rotation
+    action rejects (ValueError) a class that rotation does not preserve."""
     p = params(alpha, delta)
-    parent = rotation_action(enumerate_by_content(p.alpha))
-    sub = tuple(enumerate_by_content_cdt(p.alpha, p.delta))
-    if not sub:
+    words = _word_class(p, words)
+    if not words:
         return Verdict(True, None)
-    f = brute_gf(sub, p.n, maj)
-    verdict = check_refinement(parent, sub, f)
-    report = check_extension_hypotheses(rotation_action(sub), p.g, f)
-    if not report.hypotheses_hold:
-        return Verdict(False, {"extension_hypotheses": report.to_json()})
-    return verdict
+    return check_csp(rotation_action(words), brute_gf(words, p.n, maj))
 
 
-def verify_formula_vs_oracle(alpha, delta) -> Verdict:
-    """Exact agreement of the three closed forms with enumeration."""
+def verify_extension(alpha, delta) -> Verdict:
+    """The extension lemma on one class (zero parts of alpha dropped by
+    flatten): the hypotheses at g = gcd(alpha, delta) (the subgroup CSP,
+    period g, orbit divisibility) and the full rotation CSP all hold.  The
+    failure witness is the ExtensionReport."""
+    p = params(*flatten(alpha, delta))
+    words = tuple(enumerate_by_content_cdt(p.alpha, p.delta))
+    if not words:
+        return Verdict(True, None)
+    report = check_extension_hypotheses(rotation_action(words), p.g,
+                                        brute_gf(words, p.n, maj))
+    holds = report.hypotheses_hold and report.full_csp.holds
+    return Verdict(holds, None if holds else report.to_json())
+
+
+def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
+    """Exact agreement of the closed forms with enumeration: the emptiness
+    test, the count, the tilde generating function over the words ending
+    in 1, and the maj generating function mod q^n - 1.  A witness carries
+    the enumerated and the closed-form values that differ."""
     p = params(alpha, delta)
-    tilde_words = [w for w in enumerate_by_content_cdt(p.alpha, p.delta) if w[-1] == 1]
-    tilde_oracle = _tally(maj(w) for w in tilde_words)
+    words = _word_class(p, words)
+    nonempty = is_nonempty(alpha, delta)
+    if bool(words) != nonempty:
+        return Verdict(False, {"check": "nonempty", "enumerated": len(words),
+                               "is_nonempty": nonempty})
+    count = count_w_alpha_delta(alpha, delta)
+    if len(words) != count:
+        return Verdict(False, {"check": "count", "enumerated": len(words),
+                               "formula": count})
+    tilde = tally(maj(w) for w in words if w[-1] == 1)
     formula = tilde_maj_gf(alpha, delta)
-    formula_tally = {e: c for e, c in enumerate(formula) if c}
-    if formula_tally != tilde_oracle:
-        return Verdict(False, {"check": "tilde_maj_gf"})
-    words = list(enumerate_by_content_cdt(p.alpha, p.delta))
-    if words:
-        if brute_gf(words, p.n, maj) != maj_gf_mod_n(alpha, delta):
-            return Verdict(False, {"check": "maj_gf_mod_n"})
-    elif maj_gf_mod_n(alpha, delta) != ResiduePoly.zero(p.n):
-        return Verdict(False, {"check": "maj_gf_mod_n_empty"})
-    if len(words) != count_w_alpha_delta(alpha, delta):
-        return Verdict(False, {"check": "count"})
+    if tilde != formula:
+        return Verdict(False, {"check": "tilde_maj_gf", "enumerated": tilde,
+                               "formula": formula})
+    oracle, closed = brute_gf(words, p.n, maj), maj_gf_mod_n(alpha, delta)
+    if oracle != closed:
+        return Verdict(False, {"check": "maj_gf_mod_n", "enumerated": oracle.coeffs,
+                               "formula": closed.coeffs})
     return Verdict(True, None)
 
 
@@ -249,13 +291,9 @@ def vandermonde_check(alpha) -> Verdict:
     for delta in feasible_deltas(alpha):
         total += count_w_alpha_delta(alpha, delta)
         gf_total = gf_total + maj_gf_mod_n(alpha, delta)
-    from math import factorial
-    multinomial = factorial(n)
-    for a in alpha:
-        multinomial //= factorial(a)
-    if total != multinomial:
+    if total != multinomial(alpha):
         return Verdict(False, {"check": "numeric", "sum": total,
-                               "multinomial": multinomial})
+                               "multinomial": multinomial(alpha)})
     if gf_total != reduce(q_multinomial(n, alpha), n):
         return Verdict(False, {"check": "q-analogue"})
     return Verdict(True, None)
@@ -275,35 +313,31 @@ def period_g_check(alpha, delta) -> Verdict:
 def macmahon_check(alpha) -> Verdict:
     """maj and inv distributions on the full content class both equal the
     q-multinomial coefficient."""
-    from .words import inv
     alpha = tuple(alpha)
-    n = sum(alpha)
     words = list(enumerate_by_content(alpha))
-    expected = {e: c for e, c in enumerate(q_multinomial(n, alpha)) if c}
-    if _tally(maj(w) for w in words) != expected:
+    expected = q_multinomial(sum(alpha), alpha)
+    if tally(map(maj, words)) != expected:
         return Verdict(False, {"check": "maj"})
-    if _tally(inv(w) for w in words) != expected:
+    if tally(map(inv, words)) != expected:
         return Verdict(False, {"check": "inv"})
     return Verdict(True, None)
 
 
-def verify_flex_maj_equidistribution(alpha, delta) -> Verdict:
+def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
     """flex and maj agree as distributions modulo n on the word class."""
     p = params(alpha, delta)
-    words = list(enumerate_by_content_cdt(p.alpha, p.delta))
-    if not words:
-        return Verdict(True, None)
+    words = _word_class(p, words)
     flex_gf = brute_gf(words, p.n, flex)
     maj_gf = brute_gf(words, p.n, maj)
     if flex_gf != maj_gf:
-        return Verdict(False, {"flex": flex_gf.coeffs, "maj": maj_gf.coeffs})
+        return Verdict(False, {"check": "flex-vs-maj", "flex": flex_gf.coeffs,
+                               "maj": maj_gf.coeffs})
     return Verdict(True, None)
 
 
 def verify_flex_universal(w) -> Verdict:
     """On the necklace of w, the flex generating function is exactly the
     orbit generating function, so each orbit is its own CSP."""
-    from .words import necklace
     nk = necklace(tuple(w))
     n = len(nk.representative)
     f = brute_gf(nk.members, n, flex)

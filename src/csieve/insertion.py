@@ -16,6 +16,7 @@ from bisect import bisect_left
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+from .formulas import params
 from .words import Word, as_word, cdes, content, cdt, is_strong
 
 # A segment is a tuple of 1-based positions, cyclically consecutive in w.
@@ -256,30 +257,19 @@ def _prefix_sums(alpha, delta):
     return n_l, k_l
 
 
-def _validate_params(alpha, delta):
-    alpha, delta = tuple(alpha), tuple(delta)
-    if len(alpha) != len(delta):
-        raise ValueError("alpha and delta need the same number of parts")
-    if not alpha or not is_strong(alpha):
-        raise ValueError("alpha must be a non-empty strong composition")
-    if any(d < 0 for d in delta):
-        raise ValueError("delta parts must be non-negative")
-    return alpha, delta
-
-
 def label_spaces(alpha, delta):
     """The per-letter label lists: for each l = 2..m, all fall sets
     (delta_l-subsets of the falls of the previous stage) and all run
     multisets ((alpha_l - delta_l)-multisubsets of [0, k_l - 1])."""
-    alpha, delta = _validate_params(alpha, delta)
-    n_l, k_l = _prefix_sums(alpha, delta)
+    p = params(alpha, delta)
+    n_l, k_l = _prefix_sums(p.alpha, p.delta)
     out = []
-    for l in range(2, len(alpha) + 1):
+    for l in range(2, p.m + 1):
         universe = n_l[l - 2] - k_l[l - 2]
-        reps = alpha[l - 1] - delta[l - 1]
-        if universe < 0 or reps < 0 or delta[0] != 0:
-            return [([], []) for _ in range(2, len(alpha) + 1)]
-        fall_sets = list(itertools.combinations(range(universe), delta[l - 1]))
+        reps = p.alpha[l - 1] - p.delta[l - 1]
+        if universe < 0 or reps < 0 or p.delta[0] != 0:
+            return [([], []) for _ in range(2, p.m + 1)]
+        fall_sets = list(itertools.combinations(range(universe), p.delta[l - 1]))
         run_sets = list(itertools.combinations_with_replacement(range(k_l[l - 1]), reps))
         out.append((fall_sets, run_sets))
     return out
@@ -287,20 +277,20 @@ def label_spaces(alpha, delta):
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:
     """Rebuild the word from its edge labels; validates each label."""
-    alpha, delta = _validate_params(alpha, delta)
-    if delta[0] != 0:
+    p = params(alpha, delta)
+    if p.delta[0] != 0:
         raise ValueError("delta must start with 0")
     image = tuple((tuple(sorted(f)), tuple(sorted(r))) for f, r in image)
-    if len(image) != len(alpha) - 1:
+    if len(image) != p.m - 1:
         raise ValueError("image needs one label pair per letter above 1")
-    n_l, k_l = _prefix_sums(alpha, delta)
-    w = (1,) * alpha[0]
-    for l in range(2, len(alpha) + 1):
+    n_l, k_l = _prefix_sums(p.alpha, p.delta)
+    w = (1,) * p.alpha[0]
+    for l in range(2, p.m + 1):
         falls, runs = image[l - 2]
-        if len(falls) != delta[l - 1] or any(
+        if len(falls) != p.delta[l - 1] or any(
                 not 0 <= f < n_l[l - 2] - k_l[l - 2] for f in falls):
             raise ValueError(f"invalid fall set for letter {l}")
-        if len(runs) != alpha[l - 1] - delta[l - 1] or any(
+        if len(runs) != p.alpha[l - 1] - p.delta[l - 1] or any(
                 not 0 <= r < k_l[l - 1] for r in runs):
             raise ValueError(f"invalid run multiset for letter {l}")
         w = insert_triple(w, l, falls, runs)
@@ -316,10 +306,10 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
     once from its parent by insert_triple along the edge labelled path[-1].
     The leaves are the nodes whose path has len(alpha) - 1 labels; by the
     bijection, their path is their phi image."""
-    alpha, delta = _validate_params(alpha, delta)
-    if delta[0] != 0:
+    p = params(alpha, delta)
+    if p.delta[0] != 0:
         return iter(())
-    per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(alpha, delta)]
+    per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(p.alpha, p.delta)]
 
     def visit(parent, path, w):
         yield parent, path, w
@@ -329,15 +319,15 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
                 yield from visit(w, path + ((falls, runs),),
                                  insert_triple(w, letter, falls, runs))
 
-    return visit(None, (), (1,) * alpha[0])
+    return visit(None, (), (1,) * p.alpha[0])
 
 
 def leaves(alpha, delta) -> Iterator[Word]:
     """All words of content alpha and cyclic descent type delta ending in 1,
     each exactly once: the leaves of the insertion tree."""
-    alpha, delta = _validate_params(alpha, delta)
-    depth = len(alpha) - 1
-    for _, path, w in insertion_tree(alpha, delta):
+    p = params(alpha, delta)
+    depth = p.m - 1
+    for _, path, w in insertion_tree(p.alpha, p.delta):
         if len(path) == depth:
             yield w
 
@@ -355,10 +345,10 @@ def multiplicity_word(elements: Iterable[int], universe_size: int) -> tuple[int,
 def image_multiplicity_words(image: PhiImage, alpha, delta):
     """Encode each label pair as a pair of multiplicity words over its
     universe ([0, n_{l-1} - k_{l-1} - 1] for falls, [0, k_l - 1] for runs)."""
-    alpha, delta = _validate_params(alpha, delta)
-    n_l, k_l = _prefix_sums(alpha, delta)
+    p = params(alpha, delta)
+    n_l, k_l = _prefix_sums(p.alpha, p.delta)
     out = []
-    for l in range(2, len(alpha) + 1):
+    for l in range(2, p.m + 1):
         falls, runs = image[l - 2]
         out.append((multiplicity_word(falls, n_l[l - 2] - k_l[l - 2]),
                     multiplicity_word(runs, k_l[l - 1])))

@@ -14,7 +14,8 @@ from math import comb, gcd
 from typing import Iterator
 
 from .actions import CyclicAction, Verdict, check_csp, check_refinement, orbits
-from .qpoly import ResiduePoly, has_period
+from .formulas import brute_gf
+from .qpoly import has_period
 from .words import Composition
 
 IndexTuple = tuple[int, ...]
@@ -69,6 +70,8 @@ def enumerate_multisubsets(n: int, k: int) -> Iterator[IndexTuple]:
 
 def _enumerate_profile(n: int, d: int, alpha, chooser) -> Iterator[IndexTuple]:
     alpha = tuple(alpha)
+    if d < 1 or n % d:
+        raise ValueError("d must divide n")
     if len(alpha) != n // d:
         raise ValueError("profile needs n/d parts")
     per_interval = [list(chooser(range((j - 1) * d, j * d), alpha[j - 1]))
@@ -122,14 +125,6 @@ def enumerate_g_chain(n: int, k: int, chain) -> Iterator[IndexTuple]:
 # ---------------------------------------------------------------------------
 # CSP verifiers
 
-def _gf(carrier, modulus: int, stat) -> ResiduePoly:
-    terms: dict[int, int] = {}
-    for a in carrier:
-        e = stat(a) % modulus
-        terms[e] = terms.get(e, 0) + 1
-    return ResiduePoly.from_terms(modulus, terms)
-
-
 def interval_action(n: int, d: int, carrier) -> CyclicAction:
     return CyclicAction(d, carrier, lambda a: rotate_within_intervals(a, n, d))
 
@@ -143,7 +138,7 @@ def verify_multisubset_refinement(n: int, d: int, alpha) -> Verdict:
     carrier = tuple(enumerate_m_alpha(n, d, alpha))
     if not carrier:
         return Verdict(True, None)
-    return check_csp(interval_action(n, d, carrier), _gf(carrier, d, sum))
+    return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum))
 
 
 def verify_subset_star(n: int, d: int, alpha) -> Verdict:
@@ -153,7 +148,7 @@ def verify_subset_star(n: int, d: int, alpha) -> Verdict:
     if not carrier:
         return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier),
-                     _gf(carrier, d, lambda a: sum_star(a, alpha)))
+                     brute_gf(carrier, d, lambda a: sum_star(a, alpha)))
 
 
 def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
@@ -166,7 +161,7 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     carrier = tuple(enumerate_g_chain(n, k, chain))
     full = tuple(enumerate_subsets(n, k))
     parent = interval_action(n, d, full)
-    f = _gf(carrier, d, sum_prime) if carrier else ResiduePoly.zero(d)
+    f = brute_gf(carrier, d, sum_prime)
     verdict = check_refinement(parent, carrier, f)    # raises if not closed
     if not verdict.holds:
         return verdict
@@ -192,7 +187,7 @@ def verify_g_dd_trivial(n: int, k: int, d: int) -> Verdict:
             return Verdict(False, {"check": "sum-prime-mod-d", "subset": a})
     if not carrier:
         return Verdict(True, None)
-    return check_csp(interval_action(n, d, carrier), _gf(carrier, d, sum_prime))
+    return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum_prime))
 
 
 def orbit_size_multiset(action: CyclicAction) -> tuple[int, ...]:
@@ -285,7 +280,7 @@ def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
         return Verdict(True, None)
     action = CyclicAction(n, carrier,
                           lambda a: tuple(sorted((x + 1) % n for x in a)))
-    return check_csp(action, _gf(carrier, n, lambda a: mbs(a, n)))
+    return check_csp(action, brute_gf(carrier, n, lambda a: mbs(a, n)))
 
 
 def subset_from_two_letter_word(w) -> IndexTuple:

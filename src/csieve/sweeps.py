@@ -7,21 +7,19 @@ drivers so they exercise identical code paths.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterator
+from math import comb, gcd, prod
+from typing import Callable, Iterator, NamedTuple
 
-from .actions import Verdict, check_refinement
+from .actions import Verdict
 from .insertion import insertion_tree, phi, predicted_maj_increment
-from .formulas import (brute_gf, count_w_alpha_delta, feasible_deltas, is_nonempty,
-                       macmahon_check, maj_gf_mod_n, params, period_g_check,
-                       rotation_action, tilde_maj_gf, vandermonde_check,
-                       verify_flex_universal)
-from .qpoly import ResiduePoly
+from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
+                       period_g_check, vandermonde_check, verify_extension,
+                       verify_flex_maj_equidistribution, verify_flex_universal,
+                       verify_formula_vs_oracle, verify_main_theorem)
 from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (Word, cdt, enumerate_by_content, flex, maj, necklace, pad_to,
-                    strong_compositions)
+from .words import Word, cdt, enumerate_by_content, maj, necklace, pad_to, strong_compositions
 
 SweepItem = tuple[dict, Verdict]
 
@@ -42,50 +40,22 @@ def cdt_groups(alpha) -> dict[tuple, list[tuple]]:
 
 
 def sweep_main(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
-    """The refinement CSP on every feasible content/CDT class: rotation
-    against the brute-force maj generating function, both check methods."""
+    """The refinement CSP (verify_main_theorem) on every feasible
+    content/CDT class."""
     for alpha in iter_contents(n_max, max_parts):
-        n = sum(alpha)
-        groups = cdt_groups(alpha)
-        parent = rotation_action([w for ws in groups.values() for w in ws])
-        for delta, words in sorted(groups.items()):
-            f = brute_gf(words, n, maj)
-            verdict = check_refinement(parent, words, f)
-            yield {"alpha": alpha, "delta": delta}, verdict
+        for delta, words in sorted(cdt_groups(alpha).items()):
+            yield ({"alpha": alpha, "delta": delta},
+                   verify_main_theorem(alpha, delta, words))
 
 
 def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
-    """Closed forms against enumeration: the tilde generating function over
-    words ending in 1, the mod q^n - 1 formula, and the counting formula;
-    also confirms the emptiness test matches what enumeration finds."""
+    """The closed forms against enumeration (verify_formula_vs_oracle) on
+    every CDT that enumeration finds or the emptiness test admits."""
     for alpha in iter_contents(n_max, max_parts):
-        n = sum(alpha)
-        m = len(alpha)
         groups = cdt_groups(alpha)
-        seen = set(groups)
-        for delta in feasible_deltas(alpha):
-            seen.add(delta)
-        for delta in sorted(seen):
-            words = groups.get(delta, [])
-            witness = None
-            if bool(words) != is_nonempty(alpha, delta):
-                witness = {"check": "nonempty"}
-            elif len(words) != count_w_alpha_delta(alpha, delta):
-                witness = {"check": "count", "enumerated": len(words)}
-            else:
-                tilde = {}
-                for w in words:
-                    if w[-1] == 1:
-                        tilde[maj(w)] = tilde.get(maj(w), 0) + 1
-                formula = tilde_maj_gf(alpha, delta)
-                if {e: c for e, c in enumerate(formula) if c} != tilde:
-                    witness = {"check": "tilde_maj_gf"}
-                else:
-                    oracle = (brute_gf(words, n, maj) if words
-                              else ResiduePoly.zero(n))
-                    if oracle != maj_gf_mod_n(alpha, delta):
-                        witness = {"check": "maj_gf_mod_n"}
-            yield {"alpha": alpha, "delta": delta}, Verdict(witness is None, witness)
+        for delta in sorted(set(groups).union(feasible_deltas(alpha))):
+            yield ({"alpha": alpha, "delta": delta},
+                   verify_formula_vs_oracle(alpha, delta, groups.get(delta, ())))
 
 
 def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
@@ -182,13 +152,12 @@ def sweep_flex_universal(n_max: int = 10, alphabet: int = 3) -> Iterator[SweepIt
 
 
 def sweep_flex_maj(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
-    """flex and maj equidistributed mod n on every content/CDT class."""
+    """flex and maj equidistributed mod n (verify_flex_maj_equidistribution)
+    on every content/CDT class."""
     for alpha in iter_contents(n_max, max_parts):
-        n = sum(alpha)
         for delta, words in sorted(cdt_groups(alpha).items()):
-            holds = brute_gf(words, n, flex) == brute_gf(words, n, maj)
             yield ({"alpha": alpha, "delta": delta},
-                   Verdict(holds, None if holds else {"check": "flex-vs-maj"}))
+                   verify_flex_maj_equidistribution(alpha, delta, words))
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +241,50 @@ def sweep_mbs(n_max: int = 8) -> Iterator[SweepItem]:
         for k in range(0, n + 1):
             for b in range(0, k + 1):
                 yield {"n": n, "k": k, "b": b}, verify_mbs_csp(n, k, b)
+
+
+# ---------------------------------------------------------------------------
+# the theorem table behind `csieve verify`
+
+class Theorem(NamedTuple):
+    params: tuple[str, ...]          # instance parameters, as the verifier takes them
+    verify: Callable[..., Verdict]   # checks one instance
+    sweep: Callable[..., Iterator[SweepItem]] | None
+    # What one instance enumerates (its carrier, or for vandermonde the
+    # candidate CDTs), counted without enumerating, for the enumeration
+    # cap; None when the verifier enumerates nothing.
+    size: Callable[..., int] | None
+
+
+def _words(alpha, delta=None) -> int:
+    return multinomial(alpha)
+
+
+THEOREMS: dict[str, Theorem] = {
+    "main": Theorem(("alpha", "delta"), verify_main_theorem, sweep_main, _words),
+    "macmahon": Theorem(("alpha",), macmahon_check, sweep_macmahon, _words),
+    "tilde-gf": Theorem(("alpha", "delta"), verify_formula_vs_oracle, sweep_formulas,
+                        _words),
+    "maj-mod-n": Theorem(("alpha", "delta"), verify_formula_vs_oracle, sweep_formulas,
+                         _words),
+    "vandermonde": Theorem(("alpha",), vandermonde_check, sweep_vandermonde,
+                           lambda alpha: prod(a + 1 for a in alpha[1:])),
+    "period-g": Theorem(("alpha", "delta"), period_g_check, sweep_period_g, None),
+    "flex-maj": Theorem(("alpha", "delta"), verify_flex_maj_equidistribution,
+                        sweep_flex_maj, _words),
+    "phi": Theorem(("alpha", "delta"), verify_phi, sweep_phi, _words),
+    "multisubset": Theorem(
+        ("n", "d", "alpha"), verify_multisubset_refinement, sweep_multisubset,
+        lambda n, d, alpha: prod(multichoose(d, a) for a in alpha)),
+    "subset-star": Theorem(
+        ("n", "d", "alpha"), verify_subset_star, sweep_subset_star,
+        lambda n, d, alpha: prod(comb(max(d, 0), a) for a in alpha)),
+    "chain": Theorem(("n", "k", "chain"), verify_chain_refinement, sweep_chains,
+                     lambda n, k, chain: comb(n, k)),
+    "mbs": Theorem(("n", "k", "b"), verify_mbs_csp, sweep_mbs,
+                   lambda n, k, b: comb(n, k)),
+    "extension": Theorem(("alpha", "delta"), verify_extension, None, _words),
+}
 
 
 # ---------------------------------------------------------------------------

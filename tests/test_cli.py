@@ -4,13 +4,21 @@ import json
 
 import pytest
 
+from csieve import formulas, sweeps
 from csieve.cli import main, parse_composition, parse_word, UsageError
+from csieve.words import inv
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_usage_error(code, out, err):
+    """Exit 2 with a one-line error and nothing on stdout."""
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_parse_word_forms():
@@ -94,9 +102,20 @@ def test_verify_extension(capsys):
                        "--delta", "0,2,1")
     assert code == 0
     report = json.loads(out)
-    inst = report["instances"][0]
-    assert inst["report"]["subgroup_csp"]["holds"] is True
-    assert inst["report"]["full_csp"]["holds"] is True
+    assert report["holds"] is True and report["instances_checked"] == 1
+
+
+def test_verify_extension_failure_witness_is_the_report(capsys, monkeypatch):
+    # inv does not sieve {1212, 2121}: the subgroup CSP and the full CSP fail
+    monkeypatch.setattr(formulas, "maj", inv)
+    code, out, _ = run(capsys, "verify", "extension", "--alpha", "2,2",
+                       "--delta", "0,2")
+    assert code == 1
+    witness = json.loads(out)["failures"][0]["witness"]
+    assert set(witness) == {"subgroup_csp", "period_ok", "orbit_divisibility_ok",
+                            "full_csp"}
+    assert witness["subgroup_csp"]["holds"] is False
+    assert witness["full_csp"]["holds"] is False
 
 
 def test_verify_subset_theorems(capsys):
@@ -148,13 +167,62 @@ def test_verify_macmahon_honours_max_parts(capsys):
 
 
 def test_gf_mod_of_empty_content_exits_2(capsys):
-    code, out, err = run(capsys, "gf", "--alpha", "0", "--mod")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert_usage_error(*run(capsys, "gf", "--alpha", "0", "--mod"))
 
 
 def test_verify_mbs_n_zero_exits_2(capsys):
-    code, out, err = run(capsys, "verify", "mbs", "--n", "0", "--k", "0",
-                         "--b", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert_usage_error(*run(capsys, "verify", "mbs", "--n", "0", "--k", "0",
+                            "--b", "0"))
+
+
+@pytest.mark.parametrize("argv", [
+    # d = 0 reaches the profile enumeration of both interval theorems
+    ["multisubset", "--n", "3", "--d", "0", "--alpha", "1"],
+    ["subset-star", "--n", "3", "--d", "0", "--alpha", "1"],
+    # a flag the run would ignore
+    ["extension", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
+    ["main", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
+    ["main", "--n", "3"],
+    # 60!/(30! 30!) words, over the default cap
+    ["main", "--alpha", "30,30", "--delta", "0,5"],
+], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
+        "main-n", "main-over-cap"])
+def test_verify_usage_errors_exit_2(capsys, argv):
+    assert_usage_error(*run(capsys, "verify", *argv))
+
+
+# One small instance per theorem, each enumerating more than 3 objects.
+EXAMPLES = {
+    "main": {"alpha": "2,2", "delta": "0,2"},
+    "macmahon": {"alpha": "2,2"},
+    "tilde-gf": {"alpha": "4,2,3", "delta": "0,2,1"},
+    "maj-mod-n": {"alpha": "3,1,1", "delta": "0,1,0"},
+    "vandermonde": {"alpha": "2,2,4"},
+    "period-g": {"alpha": "4,2,3", "delta": "0,2,1"},
+    "flex-maj": {"alpha": "2,2", "delta": "0,2"},
+    "phi": {"alpha": "4,2,3", "delta": "0,2,1"},
+    "multisubset": {"n": "4", "d": "2", "alpha": "1,2"},
+    "subset-star": {"n": "6", "d": "3", "alpha": "1,2"},
+    "chain": {"n": "4", "k": "2", "chain": "1,2,4"},
+    "mbs": {"n": "5", "k": "3", "b": "2"},
+    "extension": {"alpha": "4,2,3", "delta": "0,2,1"},
+}
+
+
+def test_every_theorem_runs_its_sweep_and_one_instance(capsys, monkeypatch):
+    assert set(EXAMPLES) == set(sweeps.THEOREMS)
+    for name, theorem in sweeps.THEOREMS.items():
+        assert set(EXAMPLES[name]) == set(theorem.params)
+        instance = [x for p, v in EXAMPLES[name].items() for x in (f"--{p}", v)]
+        if theorem.sweep is not None:
+            code, out, _ = run(capsys, "verify", name, "--n-max", "3")
+            assert code == 0 and json.loads(out)["holds"] is True, name
+        code, out, _ = run(capsys, "verify", name, *instance)
+        assert code == 0, name
+        assert json.loads(out)["instances_checked"] == 1
+        if theorem.size is not None:
+            monkeypatch.setenv("CSIEVE_CAP", "3")
+            code, out, err = run(capsys, "verify", name, *instance)
+            monkeypatch.delenv("CSIEVE_CAP")
+            assert_usage_error(code, out, err)
+            assert "refusing to enumerate" in err, name

@@ -1,9 +1,10 @@
-"""The criterion-4 sweep: one walk of each insertion tree, and witnesses
-that carry enough to reproduce a failure."""
+"""The sweeps and their witnesses, which carry enough to reproduce a
+failure: the criterion-4 walk of each insertion tree, and the closed
+forms against enumeration."""
 
-from csieve import sweeps
+from csieve import formulas, sweeps
 from csieve.insertion import insert_triple, phi
-from csieve.words import maj
+from csieve.words import enumerate_by_content_cdt, maj
 
 
 def test_sweep_phi_small():
@@ -49,3 +50,18 @@ def test_leaf_set_witness():
     assert verdict.holds is False
     assert verdict.witness == {"check": "leaf-set", "built": 3, "enumerated": 3,
                                "missing": (2, 1, 3, 1, 1), "extra": (1, 1, 2, 3, 1)}
+
+
+def test_formula_witness_carries_both_coefficient_tuples(monkeypatch):
+    real = formulas.maj_gf_mod_n
+    monkeypatch.setattr(formulas, "maj_gf_mod_n",
+                        lambda alpha, delta: real(alpha, delta).shift(1))
+    report = sweeps.run_sweep(sweeps.sweep_formulas(3, 2))
+    assert report["holds"] is False
+    failure = report["failures"][0]
+    alpha, delta, witness = failure["alpha"], failure["delta"], failure["witness"]
+    words = list(enumerate_by_content_cdt(alpha, delta))
+    assert witness == {"check": "maj_gf_mod_n",
+                       "enumerated": formulas.brute_gf(words, sum(alpha), maj).coeffs,
+                       "formula": real(alpha, delta).shift(1).coeffs}
+    assert witness["enumerated"] != witness["formula"]
