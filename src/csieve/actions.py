@@ -59,17 +59,6 @@ class CyclicAction:
             self._successor = succ
         return self._successor
 
-    def check_order(self) -> bool:
-        """True iff step^order is the identity on the carrier."""
-        succ = self.successor()
-        for x in self.carrier:
-            y = x
-            for _ in range(self.order):
-                y = succ[y]
-            if y != x:
-                return False
-        return True
-
     def orbit_of(self, x) -> tuple:
         succ = self.successor()
         orbit = [x]
@@ -90,18 +79,6 @@ def orbits(a: CyclicAction) -> OrbitDecomposition:
         seen.update(orb)
         out.append(orb)
     return OrbitDecomposition(tuple(sorted(out)))
-
-
-def fixed_point_count(a: CyclicAction, k: int) -> int:
-    succ = a.successor()
-    count = 0
-    for x in a.carrier:
-        y = x
-        for _ in range(k % a.order):
-            y = succ[y]
-        if y == x:
-            count += 1
-    return count
 
 
 def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 from typing import Iterator
 
 from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses
@@ -61,12 +61,6 @@ class InstanceParams:
     def k(self) -> int:
         return sum(self.delta)
 
-    def n_prefix(self, l: int) -> int:
-        return sum(self.alpha[:l])
-
-    def k_prefix(self, l: int) -> int:
-        return sum(self.delta[:l])
-
     @property
     def d(self) -> int:
         return gcd(self.n, self.k)
@@ -79,6 +73,14 @@ class InstanceParams:
     def eta(self) -> int:
         return (self.n - self.alpha[0] + comb(self.k, 2)
                 + sum(comb(d, 2) for d in self.delta[1:]))
+
+    def factors(self) -> list[tuple[int, int, int, int]]:
+        """(falls, delta_l, runs, alpha_l - delta_l) for l = 2..m: letter l
+        goes into delta_l of the n_{l-1} - k_{l-1} falls of the word so far,
+        and with repetition into alpha_l - delta_l of its k_l runs."""
+        n_l, k_l = itertools.accumulate(self.alpha), itertools.accumulate(self.delta)
+        return [(n - k, d, k + d, a - d)
+                for n, k, a, d in zip(n_l, k_l, self.alpha[1:], self.delta[1:])]
 
 
 def params(alpha, delta) -> InstanceParams:
@@ -98,32 +100,22 @@ def flatten(alpha, delta) -> tuple[Composition, Composition]:
 
 def is_nonempty(alpha, delta) -> bool:
     """Whether any word has this content and cyclic descent type: delta_1
-    is 0, each delta_l lies in [0, alpha_l], every delta prefix sum through
-    l+1 is at most the alpha prefix through l, and each letter past the
-    first either creates a cyclic descent or has a run to land in (the
-    multichoose factor vanishes when k_l = 0 but alpha_l > delta_l)."""
+    is 0 and, for each factor, delta_l <= falls (delta_l >= 0 holds by
+    InstanceParams), alpha_l - delta_l >= 0, and the letter either creates
+    a cyclic descent or has a run to land in (the multichoose factor
+    vanishes when runs = k_l = 0 but alpha_l > delta_l)."""
     p = params(alpha, delta)
-    if p.delta and p.delta[0] != 0:
-        return False
-    if any(not 0 <= d <= a for a, d in zip(p.alpha, p.delta)):
-        return False
-    for l in range(2, p.m + 1):
-        if p.delta[l - 1] > p.n_prefix(l - 1) - p.k_prefix(l - 1):
-            return False
-        if p.k_prefix(l) == 0 and p.alpha[l - 1] > p.delta[l - 1]:
-            return False
-    return True
+    return p.delta[0] == 0 and all(
+        d <= falls and reps >= 0 and (runs > 0 or reps == 0)
+        for falls, d, runs, reps in p.factors())
 
 
 def count_w_alpha_delta(alpha, delta) -> int:
     p = params(alpha, delta)
     if not is_nonempty(alpha, delta):
         return 0
-    prod = 1
-    for l in range(2, p.m + 1):
-        prod *= comb(p.n_prefix(l - 1) - p.k_prefix(l - 1), p.delta[l - 1])
-        prod *= multichoose(p.k_prefix(l), p.alpha[l - 1] - p.delta[l - 1])
-    total = p.n * prod
+    total = p.n * prod(comb(falls, d) * multichoose(runs, reps)
+                       for falls, d, runs, reps in p.factors())
     if total % p.alpha[0]:
         raise RuntimeError("count formula produced a non-integer")
     return total // p.alpha[0]
@@ -136,11 +128,8 @@ def tilde_maj_gf(alpha, delta) -> IntPoly:
     if not is_nonempty(alpha, delta):
         return ZERO
     out = monomial(p.eta)
-    for l in range(2, p.m + 1):
-        out = poly_mul(out, q_binomial(p.n_prefix(l - 1) - p.k_prefix(l - 1),
-                                       p.delta[l - 1]))
-        out = poly_mul(out, q_multichoose(p.k_prefix(l),
-                                          p.alpha[l - 1] - p.delta[l - 1]))
+    for falls, d, runs, reps in p.factors():
+        out = poly_mul(poly_mul(out, q_binomial(falls, d)), q_multichoose(runs, reps))
     return out
 
 
@@ -154,13 +143,10 @@ def tilde_maj_gf_alternative(alpha, delta) -> tuple[int, IntPoly]:
         return 0, ZERO
     shift = 0
     out = ONE
-    for l in range(2, p.m + 1):
-        shift += p.k_prefix(l) * p.alpha[l - 1]
-        out = poly_mul(out, q_binomial(p.n_prefix(l - 1) - p.k_prefix(l - 1),
-                                       p.delta[l - 1]))
-        mch = q_multichoose(p.k_prefix(l), p.alpha[l - 1] - p.delta[l - 1])
-        shift -= len(mch) - 1
-        out = poly_mul(out, poly_reverse(mch))
+    for falls, d, runs, reps in p.factors():
+        mch = q_multichoose(runs, reps)
+        shift += runs * (d + reps) - (len(mch) - 1)
+        out = poly_mul(poly_mul(out, q_binomial(falls, d)), poly_reverse(mch))
     return shift, out
 
 

@@ -251,28 +251,19 @@ def _recover_triple(cur: Word, letter: int):
     return prev, tuple(falls), tuple(runs)
 
 
-def _prefix_sums(alpha, delta):
-    n_l = list(itertools.accumulate(alpha))
-    k_l = list(itertools.accumulate(delta))
-    return n_l, k_l
-
-
 def label_spaces(alpha, delta):
     """The per-letter label lists: for each l = 2..m, all fall sets
     (delta_l-subsets of the falls of the previous stage) and all run
-    multisets ((alpha_l - delta_l)-multisubsets of [0, k_l - 1])."""
+    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs)."""
     p = params(alpha, delta)
-    n_l, k_l = _prefix_sums(p.alpha, p.delta)
-    out = []
-    for l in range(2, p.m + 1):
-        universe = n_l[l - 2] - k_l[l - 2]
-        reps = p.alpha[l - 1] - p.delta[l - 1]
-        if universe < 0 or reps < 0 or p.delta[0] != 0:
-            return [([], []) for _ in range(2, p.m + 1)]
-        fall_sets = list(itertools.combinations(range(universe), p.delta[l - 1]))
-        run_sets = list(itertools.combinations_with_replacement(range(k_l[l - 1]), reps))
-        out.append((fall_sets, run_sets))
-    return out
+    factors = p.factors()
+    # the root 1^alpha_1 has no cyclic descent; with delta_1 = 0 and no
+    # negative reps, every fall count is at least alpha_1
+    if p.delta[0] != 0 or any(reps < 0 for *_, reps in factors):
+        return [([], []) for _ in factors]
+    return [(list(itertools.combinations(range(falls), d)),
+             list(itertools.combinations_with_replacement(range(runs), reps)))
+            for falls, d, runs, reps in factors]
 
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:
@@ -283,17 +274,14 @@ def phi_inverse(image: PhiImage, alpha, delta) -> Word:
     image = tuple((tuple(sorted(f)), tuple(sorted(r))) for f, r in image)
     if len(image) != p.m - 1:
         raise ValueError("image needs one label pair per letter above 1")
-    n_l, k_l = _prefix_sums(p.alpha, p.delta)
     w = (1,) * p.alpha[0]
-    for l in range(2, p.m + 1):
-        falls, runs = image[l - 2]
-        if len(falls) != p.delta[l - 1] or any(
-                not 0 <= f < n_l[l - 2] - k_l[l - 2] for f in falls):
-            raise ValueError(f"invalid fall set for letter {l}")
-        if len(runs) != p.alpha[l - 1] - p.delta[l - 1] or any(
-                not 0 <= r < k_l[l - 1] for r in runs):
-            raise ValueError(f"invalid run multiset for letter {l}")
-        w = insert_triple(w, l, falls, runs)
+    for letter, ((falls, runs), (n_falls, d, n_runs, reps)) in enumerate(
+            zip(image, p.factors()), start=2):
+        if len(falls) != d or any(not 0 <= f < n_falls for f in falls):
+            raise ValueError(f"invalid fall set for letter {letter}")
+        if len(runs) != reps or any(not 0 <= r < n_runs for r in runs):
+            raise ValueError(f"invalid run multiset for letter {letter}")
+        w = insert_triple(w, letter, falls, runs)
     return w
 
 
@@ -344,15 +332,10 @@ def multiplicity_word(elements: Iterable[int], universe_size: int) -> tuple[int,
 
 def image_multiplicity_words(image: PhiImage, alpha, delta):
     """Encode each label pair as a pair of multiplicity words over its
-    universe ([0, n_{l-1} - k_{l-1} - 1] for falls, [0, k_l - 1] for runs)."""
-    p = params(alpha, delta)
-    n_l, k_l = _prefix_sums(p.alpha, p.delta)
-    out = []
-    for l in range(2, p.m + 1):
-        falls, runs = image[l - 2]
-        out.append((multiplicity_word(falls, n_l[l - 2] - k_l[l - 2]),
-                    multiplicity_word(runs, k_l[l - 1])))
-    return tuple(out)
+    universe (the falls and the runs of InstanceParams.factors)."""
+    return tuple((multiplicity_word(falls, n_falls), multiplicity_word(runs, n_runs))
+                 for (falls, runs), (n_falls, _, n_runs, _)
+                 in zip(image, params(alpha, delta).factors(), strict=True))
 
 
 def power_image(u, k: int) -> PhiImage:

@@ -130,13 +130,6 @@ def q_binomial(a: int, b: int) -> IntPoly:
                     poly_mul(monomial(b), q_binomial(a - 1, b)))
 
 
-def q_factorial(a: int) -> IntPoly:
-    out = ONE
-    for i in range(1, a + 1):
-        out = poly_mul(out, q_int(i))
-    return out
-
-
 def q_multinomial(n: int, alpha: Iterable[int]) -> IntPoly:
     alpha = tuple(alpha)
     if sum(alpha) != n:
@@ -193,10 +186,6 @@ class ResiduePoly:
         return ResiduePoly(n, (0,) * n)
 
     @staticmethod
-    def constant(n: int, c: int) -> "ResiduePoly":
-        return ResiduePoly(n, (c,) + (0,) * (n - 1))
-
-    @staticmethod
     def from_terms(n: int, terms: Mapping[int, int]) -> "ResiduePoly":
         """Build from exponent -> coefficient; exponents may be any integer
         (the Laurent boundary: q^-s folds to q^((n-s) mod n))."""
@@ -234,9 +223,6 @@ class ResiduePoly:
         """Multiply by q^s (s may be negative)."""
         s %= self.n
         return ResiduePoly(self.n, self.coeffs[-s:] + self.coeffs[:-s] if s else self.coeffs)
-
-    def coefficient_sum(self) -> int:
-        return sum(self.coeffs)
 
     def to_intpoly(self) -> IntPoly:
         return normalize(self.coeffs)

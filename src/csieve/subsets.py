@@ -13,7 +13,7 @@ import itertools
 from math import comb, gcd
 from typing import Iterator
 
-from .actions import CyclicAction, Verdict, check_csp, check_refinement, orbits
+from .actions import CyclicAction, Verdict, check_csp, orbits
 from .formulas import brute_gf
 from .qpoly import has_period
 from .words import Composition
@@ -159,20 +159,17 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     chain = validate_chain(n, k, chain)
     e, d = chain[0], chain[1]
     carrier = tuple(enumerate_g_chain(n, k, chain))
-    full = tuple(enumerate_subsets(n, k))
-    parent = interval_action(n, d, full)
+    action = interval_action(n, d, carrier)
     f = brute_gf(carrier, d, sum_prime)
-    verdict = check_refinement(parent, carrier, f)    # raises if not closed
+    verdict = check_csp(action, f)    # successor() raises if G_D is not closed
     if not verdict.holds:
         return verdict
-    if carrier:
-        sub_action = interval_action(n, d, carrier)
-        for orbit in orbits(sub_action).orbits:
-            if e % (d // len(orbit)):
-                return Verdict(False, {"check": "orbit-divisibility",
-                                       "orbit_size": len(orbit)})
-        if not has_period(f, e):
-            return Verdict(False, {"check": "period-e-mod-d", "e": e, "d": d})
+    for orbit in orbits(action).orbits:
+        if e % (d // len(orbit)):
+            return Verdict(False, {"check": "orbit-divisibility",
+                                   "orbit_size": len(orbit)})
+    if not has_period(f, e):
+        return Verdict(False, {"check": "period-e-mod-d", "e": e, "d": d})
     return verdict
 
 

@@ -251,8 +251,9 @@ class Theorem(NamedTuple):
     verify: Callable[..., Verdict]   # checks one instance
     sweep: Callable[..., Iterator[SweepItem]] | None
     # What one instance enumerates (its carrier, or for vandermonde the
-    # candidate CDTs), counted without enumerating, for the enumeration
-    # cap; None when the verifier enumerates nothing.
+    # candidate CDTs times the n^2 coefficient products each one's residue
+    # product in maj_gf_mod_n costs), counted without enumerating, for the
+    # enumeration cap; None when the verifier enumerates nothing.
     size: Callable[..., int] | None
 
 
@@ -268,7 +269,7 @@ THEOREMS: dict[str, Theorem] = {
     "maj-mod-n": Theorem(("alpha", "delta"), verify_formula_vs_oracle, sweep_formulas,
                          _words),
     "vandermonde": Theorem(("alpha",), vandermonde_check, sweep_vandermonde,
-                           lambda alpha: prod(a + 1 for a in alpha[1:])),
+                           lambda alpha: prod(a + 1 for a in alpha[1:]) * sum(alpha) ** 2),
     "period-g": Theorem(("alpha", "delta"), period_g_check, sweep_period_g, None),
     "flex-maj": Theorem(("alpha", "delta"), verify_flex_maj_equidistribution,
                         sweep_flex_maj, _words),

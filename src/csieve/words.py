@@ -35,11 +35,6 @@ def strip_trailing_zeros(alpha: Iterable[int]) -> Composition:
     return alpha
 
 
-def compositions_equal(a: Iterable[int], b: Iterable[int]) -> bool:
-    """Equality ignoring trailing zeros; interior zeros are significant."""
-    return strip_trailing_zeros(a) == strip_trailing_zeros(b)
-
-
 def pad_to(alpha: Iterable[int], length: int) -> Composition:
     alpha = tuple(alpha)
     if len(alpha) > length:
@@ -100,12 +95,6 @@ def cdes(w) -> int:
 def maj(w) -> int:
     """Major index: sum of descent positions."""
     return sum(descent_set(w))
-
-
-def comaj(w) -> int:
-    """Sum of weak-ascent positions i < n; equals n(n-1)/2 - maj(w)."""
-    n = len(w)
-    return n * (n - 1) // 2 - maj(w)
 
 
 def inv(w) -> int:

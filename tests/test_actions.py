@@ -5,8 +5,7 @@ import itertools
 import pytest
 
 from csieve.actions import (CyclicAction, check_csp, check_extension_hypotheses,
-                            check_refinement, fixed_point_count, orbits,
-                            restrict_to_subgroup)
+                            check_refinement, orbits, restrict_to_subgroup)
 from csieve.qpoly import ResiduePoly, q_binomial, reduce
 
 
@@ -34,10 +33,6 @@ def test_orbits_and_fixed_points():
     a = subset_rotation(4, 2)
     dec = orbits(a)
     assert sorted(dec.sizes) == [2, 4]
-    assert fixed_point_count(a, 0) == 6
-    assert fixed_point_count(a, 1) == 0
-    assert fixed_point_count(a, 2) == 2
-    assert a.check_order()
 
 
 def test_restrict_to_subgroup():

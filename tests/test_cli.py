@@ -191,6 +191,13 @@ def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 
 
+def test_verify_vandermonde_cap_counts_coefficient_products(capsys):
+    # 2^23 candidate CDTs, each costing about n^2 = 576 coefficient products
+    code, out, err = run(capsys, "verify", "vandermonde", "--alpha", ",".join(["1"] * 24))
+    assert_usage_error(code, out, err)
+    assert "refusing to enumerate" in err
+
+
 # One small instance per theorem, each enumerating more than 3 objects.
 EXAMPLES = {
     "main": {"alpha": "2,2", "delta": "0,2"},

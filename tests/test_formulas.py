@@ -20,6 +20,11 @@ def test_params_derived_quantities():
     assert p.d == 4
 
 
+def test_factors_golden():
+    # (falls, delta_l, runs, alpha_l - delta_l) for letters 2 and 3
+    assert params((4, 2, 3), (0, 2, 1)).factors() == [(4, 2, 2, 0), (4, 1, 3, 2)]
+
+
 def test_params_eta():
     p = params((2, 2), (0, 2))
     # eta = n - alpha_1 + C(k,2) + sum C(delta_l, 2) = 2 + 1 + 1

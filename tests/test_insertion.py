@@ -1,10 +1,13 @@
 """Falls, runs, insertion, and the bijection between words ending in 1 and
 their insertion labels."""
 
+import itertools
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csieve.formulas import feasible_deltas
+from csieve.formulas import count_w_alpha_delta, feasible_deltas, is_nonempty
 from csieve.insertion import (fall_segments, image_multiplicity_words,
                               insert_into_falls, insert_into_runs,
                               insert_triple, insertion_tree, label_spaces,
@@ -132,6 +135,17 @@ def test_phi_inverse_rejects_bad_labels():
 
 STRONG_CONTENTS = [alpha for n in range(1, 8) for parts in range(1, n + 1)
                    for alpha in strong_compositions(n, parts)]
+
+
+def test_leaves_count_and_emptiness_agree_with_the_label_spaces():
+    # every delta of the candidate box {0} x [0, alpha_2] x ..., feasible or not
+    for alpha in (a for a in STRONG_CONTENTS if sum(a) <= 6):
+        n = sum(alpha)
+        for delta in itertools.product((0,), *(range(a + 1) for a in alpha[1:])):
+            size = prod(len(fs) * len(rs) for fs, rs in label_spaces(alpha, delta))
+            assert len(list(leaves(alpha, delta))) == size, (alpha, delta)
+            assert alpha[0] * count_w_alpha_delta(alpha, delta) == n * size, (alpha, delta)
+            assert (size == 0) == (not is_nonempty(alpha, delta)), (alpha, delta)
 
 
 @st.composite

@@ -8,7 +8,7 @@ import pytest
 from csieve.qpoly import (ONE, ZERO, ResiduePoly, cyclotomic, evaluate_at_root,
                           has_period, monomial, normalize, orbit_gf, poly_add,
                           poly_divexact, poly_divmod, poly_mul, poly_reverse,
-                          poly_text, q_binomial, q_factorial, q_int,
+                          poly_text, q_binomial, q_int,
                           q_multichoose, q_multinomial, reduce, refold,
                           substitute_q_inverse)
 
@@ -42,8 +42,6 @@ def test_poly_text():
 def test_q_int_and_factorial():
     assert q_int(0) == ZERO
     assert q_int(3) == (1, 1, 1)
-    assert q_factorial(3) == poly_mul((1, 1), (1, 1, 1))
-    assert sum(q_factorial(4)) == 24
 
 
 def test_q_binomial():
@@ -87,10 +85,10 @@ def test_residue_arithmetic():
     g = ResiduePoly.from_terms(3, {-1: 2, 4: 1})
     assert g == ResiduePoly(3, (0, 1, 2))
     assert (f + g - g) == f
-    assert (f * 2).coefficient_sum() == 2 * f.coefficient_sum()
+    assert f * 2 == ResiduePoly(3, (10, 14, 6))
     # multiplication wraps exponents
     q = ResiduePoly.from_terms(3, {1: 1})
-    assert (q * q * q) == ResiduePoly.constant(3, 1)
+    assert (q * q * q) == ResiduePoly(3, (1, 0, 0))
 
 
 def test_refold_and_q_inverse():
@@ -105,7 +103,7 @@ def test_refold_and_q_inverse():
 
 def test_orbit_gf():
     assert orbit_gf(6, 3) == ResiduePoly(6, (1, 0, 1, 0, 1, 0))
-    assert orbit_gf(4, 1) == ResiduePoly.constant(4, 1)
+    assert orbit_gf(4, 1) == ResiduePoly(4, (1, 0, 0, 0))
     assert orbit_gf(4, 4) == ResiduePoly(4, (1, 1, 1, 1))
     with pytest.raises(ValueError):
         orbit_gf(6, 4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from csieve import subsets
 from csieve.qpoly import ResiduePoly, evaluate_at_root
 from csieve.subsets import (block_maxima_count, enumerate_g_chain,
                             enumerate_g_de, enumerate_m_alpha,
@@ -73,6 +74,14 @@ def test_verifiers_on_worked_examples():
     assert verify_subset_star(6, 3, (2, 1)).holds
     assert verify_g_dd_trivial(4, 2, 2).holds
     assert verify_isomorphic_actions(6, 3, 2).holds
+
+
+def test_chain_refinement_rejects_a_family_not_closed(monkeypatch):
+    # the interval rotation of [0, 3] by 2-intervals takes (0, 2) to
+    # (1, 3), which this family leaves out
+    monkeypatch.setattr(subsets, "enumerate_g_chain", lambda n, k, chain: iter([(0, 2)]))
+    with pytest.raises(ValueError):
+        verify_chain_refinement(4, 2, (1, 2, 4))
 
 
 def test_shift_bijection_raises_sum_prime_by_e():
