@@ -15,9 +15,9 @@ import sys
 
 from . import formulas, sweeps
 from .qpoly import poly_text, q_multinomial, reduce
-from .words import (as_word, cdt, cdes, content, cyclic_descent_set, des,
-                    descent_set, enumerate_by_content, enumerate_by_content_cdt,
-                    flex, freq, inv, lex, maj, pad_to, period)
+from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set, des,
+                    descent_set, enumerate_by_content, flex, freq, inv, lex, maj, pad_to,
+                    period)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -120,7 +120,7 @@ def cmd_gf(args) -> int:
     if delta is None:
         words = list(enumerate_by_content(alpha))
     else:
-        words = list(enumerate_by_content_cdt(alpha, delta))
+        words = cdt_groups(alpha).get(pad_to(delta, len(alpha)), [])
     poly = formulas.tally(map(_stat_fn(args.stat), words))
     coeffs = list(reduce(poly, n).coeffs if args.mod else poly or (0,))
 

@@ -15,8 +15,8 @@ from typing import Iterator
 from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
-from .words import (Composition, enumerate_by_content, enumerate_by_content_cdt, flex,
-                    inv, is_strong, maj, necklace, pad_to, rotate)
+from .words import (Composition, cdt_groups, enumerate_by_content, flex, inv, is_strong,
+                    maj, necklace, pad_to, rotate)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -35,8 +35,9 @@ def multinomial(alpha) -> int:
 
 @dataclass(frozen=True)
 class InstanceParams:
-    """A content alpha (strong) with a matching cyclic descent type delta,
-    and the derived quantities the product formulas use."""
+    """A content alpha (strong) with a cyclic descent type delta in the box
+    delta_1 = 0, 0 <= delta_l <= alpha_l, where every cyclic descent type
+    lies, and the derived quantities the product formulas use."""
 
     alpha: Composition
     delta: Composition
@@ -46,8 +47,8 @@ class InstanceParams:
             raise ValueError("alpha and delta need the same number of parts")
         if not self.alpha or not is_strong(self.alpha):
             raise ValueError("alpha must be a non-empty strong composition")
-        if any(d < 0 for d in self.delta):
-            raise ValueError("delta parts must be non-negative")
+        if self.delta[0] or not all(0 <= d <= a for a, d in zip(self.alpha, self.delta)):
+            raise ValueError("delta must have delta_1 = 0 and 0 <= delta_l <= alpha_l")
 
     @property
     def m(self) -> int:
@@ -89,7 +90,7 @@ def params(alpha, delta) -> InstanceParams:
 
 def flatten(alpha, delta) -> tuple[Composition, Composition]:
     """Drop zero parts of alpha with their paired delta entries; a nonzero
-    delta entry over an empty letter makes the instance empty."""
+    delta entry over an absent letter stays, for InstanceParams to reject."""
     alpha, delta = tuple(alpha), tuple(delta)
     delta = pad_to(delta, len(alpha)) if len(delta) < len(alpha) else delta
     if len(alpha) != len(delta):
@@ -99,21 +100,21 @@ def flatten(alpha, delta) -> tuple[Composition, Composition]:
 
 
 def is_nonempty(alpha, delta) -> bool:
-    """Whether any word has this content and cyclic descent type: delta_1
-    is 0 and, for each factor, delta_l <= falls (delta_l >= 0 holds by
-    InstanceParams), alpha_l - delta_l >= 0, and the letter either creates
-    a cyclic descent or has a run to land in (the multichoose factor
-    vanishes when runs = k_l = 0 but alpha_l > delta_l)."""
-    p = params(alpha, delta)
-    return p.delta[0] == 0 and all(
-        d <= falls and reps >= 0 and (runs > 0 or reps == 0)
-        for falls, d, runs, reps in p.factors())
+    """Whether any word has this content and cyclic descent type, that is,
+    whether every factor is nonempty: delta_l <= falls, and the letter
+    either creates a cyclic descent or has a run to land in (the
+    multichoose factor vanishes when runs = k_l = 0 but alpha_l > delta_l)."""
+    return all(d <= falls and (runs > 0 or reps == 0)
+               for falls, d, runs, reps in params(alpha, delta).factors())
 
+
+# The root 1^alpha_1 has no cyclic descent, and each copy of a new largest
+# letter adds at most one: hence the box.  In it, falls >= alpha_1 > 0 and
+# reps >= 0, so a closed form below is 0 exactly when a factor is: comb and
+# q_binomial when delta_l > falls, (q_)multichoose when runs = 0 < reps.
 
 def count_w_alpha_delta(alpha, delta) -> int:
     p = params(alpha, delta)
-    if not is_nonempty(alpha, delta):
-        return 0
     total = p.n * prod(comb(falls, d) * multichoose(runs, reps)
                        for falls, d, runs, reps in p.factors())
     if total % p.alpha[0]:
@@ -125,8 +126,6 @@ def tilde_maj_gf(alpha, delta) -> IntPoly:
     """Sum of q^maj over words of content alpha, CDT delta, ending in 1:
     q^eta times the product of q-binomial and q-multichoose factors."""
     p = params(alpha, delta)
-    if not is_nonempty(alpha, delta):
-        return ZERO
     out = monomial(p.eta)
     for falls, d, runs, reps in p.factors():
         out = poly_mul(poly_mul(out, q_binomial(falls, d)), q_multichoose(runs, reps))
@@ -154,8 +153,6 @@ def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
     """Sum of q^maj over all of W_{alpha,delta}, as a residue mod q^n - 1:
     (d/alpha_1) (q^n-1)/(q^d-1) times the tilde generating function."""
     p = params(alpha, delta)
-    if not is_nonempty(alpha, delta):
-        return ResiduePoly.zero(p.n)
     product = orbit_gf(p.n, p.n // p.d) * reduce(tilde_maj_gf(alpha, delta), p.n) * p.d
     if any(c % p.alpha[0] for c in product.coeffs):
         raise RuntimeError("maj formula coefficients not divisible by alpha_1")
@@ -206,7 +203,7 @@ def rotation_action(carrier) -> CyclicAction:
 
 def _word_class(p: InstanceParams, words):
     """The given words of the class, or else the class enumerated."""
-    return tuple(enumerate_by_content_cdt(p.alpha, p.delta)) if words is None else words
+    return cdt_groups(p.alpha).get(p.delta, []) if words is None else words
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +228,7 @@ def verify_extension(alpha, delta) -> Verdict:
     period g, orbit divisibility) and the full rotation CSP all hold.  The
     failure witness is the ExtensionReport."""
     p = params(*flatten(alpha, delta))
-    words = tuple(enumerate_by_content_cdt(p.alpha, p.delta))
+    words = _word_class(p, None)
     if not words:
         return Verdict(True, None)
     report = check_extension_hypotheses(rotation_action(words), p.g,

@@ -254,23 +254,16 @@ def _recover_triple(cur: Word, letter: int):
 def label_spaces(alpha, delta):
     """The per-letter label lists: for each l = 2..m, all fall sets
     (delta_l-subsets of the falls of the previous stage) and all run
-    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs)."""
-    p = params(alpha, delta)
-    factors = p.factors()
-    # the root 1^alpha_1 has no cyclic descent; with delta_1 = 0 and no
-    # negative reps, every fall count is at least alpha_1
-    if p.delta[0] != 0 or any(reps < 0 for *_, reps in factors):
-        return [([], []) for _ in factors]
+    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A list
+    is empty exactly when its factor vanishes."""
     return [(list(itertools.combinations(range(falls), d)),
              list(itertools.combinations_with_replacement(range(runs), reps)))
-            for falls, d, runs, reps in factors]
+            for falls, d, runs, reps in params(alpha, delta).factors()]
 
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:
     """Rebuild the word from its edge labels; validates each label."""
     p = params(alpha, delta)
-    if p.delta[0] != 0:
-        raise ValueError("delta must start with 0")
     image = tuple((tuple(sorted(f)), tuple(sorted(r))) for f, r in image)
     if len(image) != p.m - 1:
         raise ValueError("image needs one label pair per letter above 1")
@@ -295,8 +288,6 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
     The leaves are the nodes whose path has len(alpha) - 1 labels; by the
     bijection, their path is their phi image."""
     p = params(alpha, delta)
-    if p.delta[0] != 0:
-        return iter(())
     per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(p.alpha, p.delta)]
 
     def visit(parent, path, w):

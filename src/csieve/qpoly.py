@@ -113,12 +113,6 @@ def poly_text(coeffs: Iterable[int]) -> str:
 # ---------------------------------------------------------------------------
 # q-analogues (exact, via the Pascal recurrence -- never by division)
 
-def q_int(a: int) -> IntPoly:
-    if a < 0:
-        raise ValueError("q_int needs a >= 0")
-    return (1,) * a if a else ZERO
-
-
 @lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> IntPoly:
     if b < 0 or b > a:

@@ -7,6 +7,7 @@ drivers so they exercise identical code paths.
 
 from __future__ import annotations
 
+import itertools
 from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -19,24 +20,20 @@ from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial
 from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import Word, cdt, enumerate_by_content, maj, necklace, pad_to, strong_compositions
+from .words import (Word, cdt, cdt_groups, enumerate_by_content, maj, necklace, pad_to,
+                    strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
+
+# The letters of the flex necklace sweep; the largest k of the subset-side sweeps.
+FLEX_ALPHABET = 3
+K_MAX = 4
 
 
 def iter_contents(n_max: int, max_parts: int = 4) -> Iterator[tuple]:
     for n in range(1, n_max + 1):
         for parts in range(1, min(max_parts, n) + 1):
             yield from strong_compositions(n, parts)
-
-
-def cdt_groups(alpha) -> dict[tuple, list[tuple]]:
-    """All words of the content, grouped by padded cyclic descent type."""
-    m = len(alpha)
-    groups: dict[tuple, list[tuple]] = {}
-    for w in enumerate_by_content(alpha):
-        groups.setdefault(pad_to(cdt(w), m), []).append(w)
-    return groups
 
 
 def sweep_main(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
@@ -138,17 +135,13 @@ def sweep_period_g(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
             yield {"alpha": alpha, "delta": delta}, period_g_check(alpha, delta)
 
 
-def sweep_flex_universal(n_max: int = 10, alphabet: int = 3) -> Iterator[SweepItem]:
-    """Every necklace is its own CSP under the flex statistic."""
-    import itertools
+def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
+    """Every necklace over FLEX_ALPHABET letters is its own CSP under the
+    flex statistic; each necklace is checked at its least rotation."""
     for n in range(1, n_max + 1):
-        seen = set()
-        for w in itertools.product(range(1, alphabet + 1), repeat=n):
-            rep = necklace(w).representative
-            if rep in seen:
-                continue
-            seen.add(rep)
-            yield {"necklace": rep}, verify_flex_universal(rep)
+        for w in itertools.product(range(1, FLEX_ALPHABET + 1), repeat=n):
+            if necklace(w).representative == w:
+                yield {"necklace": w}, verify_flex_universal(w)
 
 
 def sweep_flex_maj(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
@@ -164,31 +157,31 @@ def sweep_flex_maj(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
 # subset-side sweeps
 
 def compositions_with_parts(k: int, parts: int) -> Iterator[tuple]:
-    if parts == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in compositions_with_parts(k - first, parts - 1):
-            yield (first,) + rest
+    """The weak compositions of k into `parts` parts, in lexicographic
+    order: the strong compositions of k + parts less 1 per part."""
+    for alpha in strong_compositions(k + parts, parts):
+        # a tuple built from a list is allocated at its size; one built from
+        # a generator is shrunk afterwards, fragmenting the kept sweep keys
+        yield tuple([a - 1 for a in alpha])
 
 
-def sweep_multisubset(n_max: int = 10, k_max: int = 4) -> Iterator[SweepItem]:
+def sweep_multisubset(n_max: int = 10) -> Iterator[SweepItem]:
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             if n % d:
                 continue
-            for k in range(0, k_max + 1):
+            for k in range(0, K_MAX + 1):
                 for alpha in compositions_with_parts(k, n // d):
                     yield ({"n": n, "d": d, "alpha": alpha},
                            verify_multisubset_refinement(n, d, alpha))
 
 
-def sweep_subset_star(n_max: int = 10, k_max: int = 4) -> Iterator[SweepItem]:
+def sweep_subset_star(n_max: int = 10) -> Iterator[SweepItem]:
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             if n % d:
                 continue
-            for k in range(0, k_max + 1):
+            for k in range(0, K_MAX + 1):
                 for alpha in compositions_with_parts(k, n // d):
                     if any(a > d for a in alpha):
                         continue
@@ -226,12 +219,12 @@ def sweep_g_dd(n_max: int = 12) -> Iterator[SweepItem]:
                 yield {"n": n, "d": d, "k": k}, verify_g_dd_trivial(n, k, d)
 
 
-def sweep_action_isomorphism(n_max: int = 12, k_max: int = 4) -> Iterator[SweepItem]:
+def sweep_action_isomorphism(n_max: int = 12) -> Iterator[SweepItem]:
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             if n % d:
                 continue
-            for k in range(0, min(k_max, n) + 1):
+            for k in range(0, min(K_MAX, n) + 1):
                 yield ({"n": n, "d": d, "k": k},
                        verify_isomorphic_actions(n, d, k))
 

@@ -28,13 +28,6 @@ def is_strong(alpha: Iterable[int]) -> bool:
     return all(a > 0 for a in alpha)
 
 
-def strip_trailing_zeros(alpha: Iterable[int]) -> Composition:
-    alpha = tuple(alpha)
-    while alpha and alpha[-1] == 0:
-        alpha = alpha[:-1]
-    return alpha
-
-
 def pad_to(alpha: Iterable[int], length: int) -> Composition:
     alpha = tuple(alpha)
     if len(alpha) > length:
@@ -198,10 +191,11 @@ def enumerate_by_content(alpha: Iterable[int]) -> Iterator[Word]:
     yield from rec()
 
 
-def enumerate_by_content_cdt(alpha, delta) -> Iterator[Word]:
-    """Words with content alpha and cyclic descent type delta (comparison
-    ignores trailing zeros), in lexicographic order."""
-    delta = strip_trailing_zeros(delta)
+def cdt_groups(alpha) -> dict[Composition, list[Word]]:
+    """All words of the content, grouped by cyclic descent type padded to
+    len(alpha); each group in lexicographic order."""
+    m = len(alpha)
+    groups: dict[Composition, list[Word]] = {}
     for w in enumerate_by_content(alpha):
-        if strip_trailing_zeros(cdt(w)) == delta:
-            yield w
+        groups.setdefault(pad_to(cdt(w), m), []).append(w)
+    return groups

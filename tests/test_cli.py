@@ -191,6 +191,17 @@ def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "main", "--alpha", "2,2", "--delta", "1,1"],
+    ["verify", "phi", "--alpha", "2,2", "--delta", "0,3"],
+    ["gf", "--alpha", "2,2", "--delta", "1,1", "--formula"],
+    ["gf", "--alpha", "2,2", "--delta", "0,2,0"],
+], ids=["main-delta1", "phi-delta-over-alpha", "gf-formula-delta1", "gf-delta-too-long"])
+def test_delta_outside_the_box_exits_2(capsys, argv):
+    # every cyclic descent type has delta_1 = 0 and 0 <= delta_l <= alpha_l
+    assert_usage_error(*run(capsys, *argv))
+
+
 def test_verify_vandermonde_cap_counts_coefficient_products(capsys):
     # 2^23 candidate CDTs, each costing about n^2 = 576 coefficient products
     code, out, err = run(capsys, "verify", "vandermonde", "--alpha", ",".join(["1"] * 24))

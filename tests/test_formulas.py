@@ -10,7 +10,7 @@ from csieve.formulas import (count_w_alpha_delta, feasible_deltas, flatten,
                              verify_flex_universal, verify_formula_vs_oracle,
                              verify_main_theorem)
 from csieve.qpoly import ResiduePoly, monomial, poly_mul, reduce
-from csieve.words import enumerate_by_content_cdt, maj
+from csieve.words import cdt_groups, maj
 
 
 def test_params_derived_quantities():
@@ -34,20 +34,22 @@ def test_params_eta():
 def test_flatten():
     assert flatten((2, 0, 2), (0, 0, 1)) == ((2, 2), (0, 1))
     assert flatten((2, 0, 2), (0,)) == ((2, 2), (0, 0))
-    # a positive delta over an absent letter survives so emptiness is seen
+    # a positive delta over an absent letter survives, so params rejects it
     assert flatten((2, 0, 2), (0, 1, 1)) == ((2, 0, 2), (0, 1, 1))
 
 
 def test_is_nonempty_matches_enumeration():
     for alpha in [(2, 2), (3, 1), (1, 1), (2, 1, 1), (1, 1, 2)]:
         for delta in feasible_deltas(alpha):
-            assert list(enumerate_by_content_cdt(alpha, delta))
+            assert cdt_groups(alpha)[delta]
     # the multichoose factor vanishes when a letter has no run to land in
     assert not is_nonempty((1, 1), (0, 0))
-    assert not list(enumerate_by_content_cdt((1, 1), (0, 0)))
+    assert (0, 0) not in cdt_groups((1, 1))
     assert is_nonempty((1, 1), (0, 1))
-    assert not is_nonempty((2, 2), (1, 1))     # delta_1 must be 0
-    assert not is_nonempty((2, 2), (0, 3))     # delta_2 > alpha_2
+    with pytest.raises(ValueError):
+        is_nonempty((2, 2), (1, 1))     # delta_1 must be 0
+    with pytest.raises(ValueError):
+        is_nonempty((2, 2), (0, 3))     # delta_2 > alpha_2
 
 
 def test_count_golden():

@@ -7,14 +7,15 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csieve.formulas import count_w_alpha_delta, feasible_deltas, is_nonempty
+from csieve.formulas import (count_w_alpha_delta, feasible_deltas, is_nonempty,
+                             maj_gf_mod_n, tilde_maj_gf)
 from csieve.insertion import (fall_segments, image_multiplicity_words,
                               insert_into_falls, insert_into_runs,
                               insert_triple, insertion_tree, label_spaces,
                               leaves, phi, phi_inverse, power_image,
                               predicted_maj_increment, run_segments)
-from csieve.words import (as_word, content, enumerate_by_content_cdt, maj,
-                          strong_compositions)
+from csieve.qpoly import ZERO, ResiduePoly
+from csieve.words import as_word, cdt_groups, content, maj, strong_compositions
 
 
 def letters_of(w, seg):
@@ -145,7 +146,11 @@ def test_leaves_count_and_emptiness_agree_with_the_label_spaces():
             size = prod(len(fs) * len(rs) for fs, rs in label_spaces(alpha, delta))
             assert len(list(leaves(alpha, delta))) == size, (alpha, delta)
             assert alpha[0] * count_w_alpha_delta(alpha, delta) == n * size, (alpha, delta)
-            assert (size == 0) == (not is_nonempty(alpha, delta)), (alpha, delta)
+            empty = not is_nonempty(alpha, delta)
+            assert (size == 0) == empty, (alpha, delta)
+            # the closed forms vanish through their factors, with no guard
+            assert (tilde_maj_gf(alpha, delta) == ZERO) == empty, (alpha, delta)
+            assert (maj_gf_mod_n(alpha, delta) == ResiduePoly.zero(n)) == empty, (alpha, delta)
 
 
 @st.composite
@@ -174,7 +179,8 @@ def test_batched_insertion_matches_one_index_at_a_time(instance):
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_leaves_are_the_words_ending_in_one(instance):
-    expected = [w for w in enumerate_by_content_cdt(*instance) if w[-1] == 1]
+    alpha, delta = instance
+    expected = [w for w in cdt_groups(alpha)[delta] if w[-1] == 1]
     assert sorted(leaves(*instance)) == expected
 
 

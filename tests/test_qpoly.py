@@ -8,9 +8,8 @@ import pytest
 from csieve.qpoly import (ONE, ZERO, ResiduePoly, cyclotomic, evaluate_at_root,
                           has_period, monomial, normalize, orbit_gf, poly_add,
                           poly_divexact, poly_divmod, poly_mul, poly_reverse,
-                          poly_text, q_binomial, q_int,
-                          q_multichoose, q_multinomial, reduce, refold,
-                          substitute_q_inverse)
+                          poly_text, q_binomial, q_multichoose, q_multinomial,
+                          reduce, refold, substitute_q_inverse)
 
 
 def test_poly_basics():
@@ -37,11 +36,6 @@ def test_poly_text():
     assert poly_text((0,)) == "0"
     assert poly_text((1, 0, 2, -1)) == "1 + 2*q^2 - q^3"
     assert poly_text((0, 1)) == "q"
-
-
-def test_q_int_and_factorial():
-    assert q_int(0) == ZERO
-    assert q_int(3) == (1, 1, 1)
 
 
 def test_q_binomial():

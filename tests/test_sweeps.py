@@ -4,7 +4,7 @@ forms against enumeration."""
 
 from csieve import formulas, sweeps
 from csieve.insertion import insert_triple, phi
-from csieve.words import enumerate_by_content_cdt, maj
+from csieve.words import cdt_groups, maj
 
 
 def test_sweep_phi_small():
@@ -60,7 +60,7 @@ def test_formula_witness_carries_both_coefficient_tuples(monkeypatch):
     assert report["holds"] is False
     failure = report["failures"][0]
     alpha, delta, witness = failure["alpha"], failure["delta"], failure["witness"]
-    words = list(enumerate_by_content_cdt(alpha, delta))
+    words = cdt_groups(alpha)[delta]
     assert witness == {"check": "maj_gf_mod_n",
                        "enumerated": formulas.brute_gf(words, sum(alpha), maj).coeffs,
                        "formula": real(alpha, delta).shift(1).coeffs}

@@ -2,10 +2,9 @@
 
 import itertools
 
-from csieve.words import (as_word, cdes, cdt, content, cyclic_descent_set, des,
-                          descent_set, enumerate_by_content, enumerate_by_content_cdt,
-                          flex, freq, inv, lex, maj, necklace, pad_to, period,
-                          rotate, strip_trailing_zeros, strong_compositions)
+from csieve.words import (as_word, cdes, cdt, cdt_groups, content, cyclic_descent_set,
+                          des, descent_set, enumerate_by_content, flex, freq, inv, lex,
+                          maj, necklace, pad_to, period, rotate, strong_compositions)
 
 W = as_word([1, 5, 5, 3, 1, 5, 5, 3])
 
@@ -69,7 +68,6 @@ def test_flex_on_primitive_word():
 
 
 def test_composition_helpers():
-    assert strip_trailing_zeros((2, 0, 1, 0, 0)) == (2, 0, 1)
     assert pad_to((1, 2), 4) == (1, 2, 0, 0)
     assert list(strong_compositions(3, 2)) == [(1, 2), (2, 1)]
     assert list(strong_compositions(2, 3)) == []
@@ -85,9 +83,12 @@ def test_enumerate_by_content():
     assert all(content(w) == (2, 0, 2) for w in words)
 
 
-def test_enumerate_by_content_cdt():
-    words = list(enumerate_by_content_cdt((2, 2), (0, 2)))
-    assert words == [(1, 2, 1, 2), (2, 1, 2, 1)]
+def test_cdt_groups():
+    groups = cdt_groups((2, 2))
+    assert groups[(0, 2)] == [(1, 2, 1, 2), (2, 1, 2, 1)]
+    # keys are padded to len(alpha), even past the largest letter present
+    assert set(cdt_groups((2, 0, 2))) == {(0, 0, 1), (0, 0, 2)}
+    assert set(cdt_groups((2, 2, 0))) == {(0, 1, 0), (0, 2, 0)}
 
 
 def test_cdt_partitions_the_content_class():
@@ -98,4 +99,5 @@ def test_cdt_partitions_the_content_class():
         assert regrouped == len(words)
         for w in words:
             assert cdt(w)[0] == 0
+            assert all(d <= a for a, d in zip(alpha, cdt(w)))
             assert sum(cdt(w)) == cdes(w)
