@@ -2,7 +2,8 @@
 theorem-verification sweeps with machine-readable output.
 
 Exit codes: 0 all checks hold, 1 a verification failed (witness in the
-output), 2 usage or validation error.
+output), 2 usage or validation error, 3 internal fault (any other
+exception), each error with one line on stderr.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set,
 DEFAULT_CAP = 10 ** 7
 
 # Every instance parameter of the theorem table is an option of verify.
-# Those listed here, with their help, are comma lists; the others integers.
+# Those listed here, with their help, are comma lists or words; the
+# others integers.
 INSTANCE_PARAMS = tuple(dict.fromkeys(
     p for theorem in sweeps.THEOREMS.values() for p in theorem.params))
 COMPOSITIONS = {"alpha": "content, e.g. 2,2", "delta": "cyclic descent type, e.g. 0,2",
                 "chain": "divisor chain, ascending, ending in n"}
+WORDS = {"necklace": "a word whose necklace is checked, e.g. 1213"}
 
 
 class UsageError(Exception):
@@ -190,6 +193,14 @@ def _sweep_bounds(args, name: str, sweep) -> dict:
     return bounds
 
 
+def _parse_param(param: str, value):
+    if param in COMPOSITIONS:
+        return parse_composition(value, param)
+    if param in WORDS:
+        return parse_word(value)
+    return value
+
+
 def _instance(args, name: str, params, given) -> dict:
     """The instance given on the command line, parsed, in the order of the
     theorem's parameters."""
@@ -199,8 +210,7 @@ def _instance(args, name: str, params, given) -> dict:
     missing = [p for p in params if p not in given]
     if missing:
         raise UsageError(f"theorem {name!r} needs {_flags(missing)}")
-    key = {p: parse_composition(getattr(args, p), p) if p in COMPOSITIONS
-           else getattr(args, p) for p in params}
+    key = {p: _parse_param(p, getattr(args, p)) for p in params}
     if "delta" in key and len(key["delta"]) < len(key["alpha"]):
         key["delta"] = pad_to(key["delta"], len(key["alpha"]))
     return key
@@ -263,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a theorem verifier")
     p_verify.add_argument("theorem", choices=sweeps.THEOREMS)
     for param in INSTANCE_PARAMS:
-        p_verify.add_argument(f"--{param}", help=COMPOSITIONS.get(param),
-                              type=str if param in COMPOSITIONS else int)
+        text = {**COMPOSITIONS, **WORDS}.get(param)
+        p_verify.add_argument(f"--{param}", help=text, type=int if text is None else str)
     p_verify.add_argument("--n-max", type=int, dest="n_max",
                           help="sweep bound (per-theorem default)")
     p_verify.add_argument("--max-parts", type=int, dest="max_parts",
@@ -284,6 +294,9 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

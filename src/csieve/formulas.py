@@ -15,8 +15,8 @@ from typing import Iterator
 from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
-from .words import (Composition, cdt_groups, enumerate_by_content, flex, inv, is_strong,
-                    maj, necklace, pad_to, rotate)
+from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
+                    inv, is_strong, maj, necklace as necklace_of, pad_to, rotate)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -223,11 +223,11 @@ def verify_main_theorem(alpha, delta, words=None) -> Verdict:
 
 
 def verify_extension(alpha, delta) -> Verdict:
-    """The extension lemma on one class (zero parts of alpha dropped by
-    flatten): the hypotheses at g = gcd(alpha, delta) (the subgroup CSP,
-    period g, orbit divisibility) and the full rotation CSP all hold.  The
-    failure witness is the ExtensionReport."""
-    p = params(*flatten(alpha, delta))
+    """The extension lemma on one class: the hypotheses at
+    g = gcd(alpha, delta) (the subgroup CSP, period g, orbit divisibility)
+    and the full rotation CSP all hold.  The failure witness is the
+    ExtensionReport."""
+    p = params(alpha, delta)
     words = _word_class(p, None)
     if not words:
         return Verdict(True, None)
@@ -307,10 +307,11 @@ def macmahon_check(alpha) -> Verdict:
 
 
 def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
-    """flex and maj agree as distributions modulo n on the word class."""
+    """flex and maj agree as distributions modulo n on the word class;
+    flex is taken once per orbit (flex_per_orbit)."""
     p = params(alpha, delta)
     words = _word_class(p, words)
-    flex_gf = brute_gf(words, p.n, flex)
+    flex_gf = brute_gf(words, p.n, flex_per_orbit(words).__getitem__)
     maj_gf = brute_gf(words, p.n, maj)
     if flex_gf != maj_gf:
         return Verdict(False, {"check": "flex-vs-maj", "flex": flex_gf.coeffs,
@@ -318,10 +319,10 @@ def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
     return Verdict(True, None)
 
 
-def verify_flex_universal(w) -> Verdict:
-    """On the necklace of w, the flex generating function is exactly the
-    orbit generating function, so each orbit is its own CSP."""
-    nk = necklace(tuple(w))
+def verify_flex_universal(necklace) -> Verdict:
+    """On the necklace of the given word, the flex generating function is
+    exactly the orbit generating function, so each orbit is its own CSP."""
+    nk = necklace_of(tuple(necklace))
     n = len(nk.representative)
     f = brute_gf(nk.members, n, flex)
     if f != orbit_gf(n, nk.period):

@@ -240,14 +240,6 @@ def refold(f: ResiduePoly, g: int) -> ResiduePoly:
     return reduce(f.coeffs, g)
 
 
-def substitute_q_inverse(f: ResiduePoly) -> ResiduePoly:
-    """f(q^-1) as a residue: the coefficient of q^i moves to q^((n-i) mod n)."""
-    out = [0] * f.n
-    for i, c in enumerate(f.coeffs):
-        out[(f.n - i) % f.n] += c
-    return ResiduePoly(f.n, tuple(out))
-
-
 def orbit_gf(n: int, orbit_size: int) -> ResiduePoly:
     """(q^n - 1)/(q^(n/d) - 1) = sum_{i<d} q^(i n/d), for d | n."""
     if orbit_size < 1 or n % orbit_size:

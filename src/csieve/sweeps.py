@@ -7,7 +7,6 @@ drivers so they exercise identical code paths.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -20,8 +19,8 @@ from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial
 from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (Word, cdt, cdt_groups, enumerate_by_content, maj, necklace, pad_to,
-                    strong_compositions)
+from .words import (Word, cdt, cdt_groups, enumerate_by_content, maj, necklaces_over,
+                    pad_to, strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -139,9 +138,8 @@ def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
     """Every necklace over FLEX_ALPHABET letters is its own CSP under the
     flex statistic; each necklace is checked at its least rotation."""
     for n in range(1, n_max + 1):
-        for w in itertools.product(range(1, FLEX_ALPHABET + 1), repeat=n):
-            if necklace(w).representative == w:
-                yield {"necklace": w}, verify_flex_universal(w)
+        for w in necklaces_over(FLEX_ALPHABET, n):
+            yield {"necklace": w}, verify_flex_universal(w)
 
 
 def sweep_flex_maj(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
@@ -267,6 +265,8 @@ THEOREMS: dict[str, Theorem] = {
     "flex-maj": Theorem(("alpha", "delta"), verify_flex_maj_equidistribution,
                         sweep_flex_maj, _words),
     "phi": Theorem(("alpha", "delta"), verify_phi, sweep_phi, _words),
+    "flex-universal": Theorem(("necklace",), verify_flex_universal, sweep_flex_universal,
+                              lambda necklace: len(necklace)),
     "multisubset": Theorem(
         ("n", "d", "alpha"), verify_multisubset_refinement, sweep_multisubset,
         lambda n, d, alpha: prod(multichoose(d, a) for a in alpha)),

@@ -165,37 +165,111 @@ def flex(w) -> int:
     return nk.frequency * nk.members.index(tuple(w))
 
 
+def flex_per_orbit(words: Iterable[Word]) -> dict[Word, int]:
+    """flex of every word of `words` and of its rotations, with one
+    necklace() per orbit: on first sight of a word, each member of its
+    necklace gets frequency times its index among the sorted members."""
+    out: dict[Word, int] = {}
+    for w in words:
+        if w not in out:
+            nk = necklace(w)
+            out.update((u, nk.frequency * i) for i, u in enumerate(nk.members))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_by_content(alpha: Iterable[int]) -> Iterator[Word]:
-    """All words with content alpha, in lexicographic order."""
+def _counts(alpha: Iterable[int]) -> list[int]:
     counts = [int(a) for a in alpha]
     if any(a < 0 for a in counts):
         raise ValueError("content parts must be non-negative")
-    n = sum(counts)
-    word: list[int] = []
+    return counts
 
-    def rec() -> Iterator[Word]:
-        if len(word) == n:
-            yield tuple(word)
+
+def enumerate_by_content(alpha: Iterable[int]) -> Iterator[Word]:
+    """All words with content alpha, in lexicographic order: each word
+    from the last by the lexicographic successor (Knuth, TAOCP 7.2.1.2,
+    Algorithm L)."""
+    word = [j for j, a in enumerate(_counts(alpha), 1) for _ in range(a)]
+    n = len(word)
+    while True:
+        yield tuple(word)
+        # the rightmost ascent j; the suffix after it is weakly decreasing
+        j = n - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for j in range(len(counts)):
-            if counts[j]:
-                counts[j] -= 1
-                word.append(j + 1)
-                yield from rec()
-                word.pop()
-                counts[j] += 1
+        # swap in the least larger letter of the suffix, then make the
+        # suffix increasing
+        i = n - 1
+        while word[j] >= word[i]:
+            i -= 1
+        word[j], word[i] = word[i], word[j]
+        word[j + 1:] = word[:j:-1]
 
-    yield from rec()
+
+def _fkm(counts: list[int], first: int, n: int) -> Iterator[tuple[Word, int]]:
+    """(least rotation, period) of every necklace of length n >= 1 whose
+    least letter is `first`, in lexicographic order, where letter j may
+    be used counts[j - 1] more times after the leading `first`.  The
+    recursion keeps the current prenecklace and the length p of its
+    longest Lyndon prefix; a prenecklace of length n with p | n is a
+    necklace of period p."""
+    k = len(counts)
+    word = [first] * n
+
+    def extend(t: int, p: int) -> Iterator[tuple[Word, int]]:
+        if t == n:
+            if n % p == 0:
+                yield tuple(word), p
+            return
+        for j in range(word[t - p], k + 1):
+            if counts[j - 1]:
+                counts[j - 1] -= 1
+                word[t] = j
+                yield from extend(t + 1, p if j == word[t - p] else t + 1)
+                counts[j - 1] += 1
+
+    yield from extend(1, 1)
+
+
+def necklaces(alpha: Iterable[int]) -> Iterator[tuple[Word, int]]:
+    """(least rotation, period) of every necklace of content alpha, in
+    lexicographic order: the fixed-content FKM recursion (Sawada 2003,
+    "A fast algorithm to generate necklaces with fixed content").  The
+    period is the number of distinct rotations; the empty content has one
+    necklace, the empty word, with one rotation."""
+    counts = _counts(alpha)
+    n = sum(counts)
+    if n == 0:
+        yield (), 1
+        return
+    first = next(j for j, a in enumerate(counts, 1) if a)
+    counts[first - 1] -= 1
+    yield from _fkm(counts, first, n)
+
+
+def necklaces_over(k: int, n: int) -> Iterator[Word]:
+    """The least rotation of every necklace of length n >= 1 over the
+    letters 1..k, in lexicographic order (FKM; Cattell, Ruskey, Sawada,
+    Serra and Miers 2000): by least letter, with every letter available
+    n times."""
+    for first in range(1, k + 1):
+        for w, _ in _fkm([n] * k, first, n):
+            yield w
 
 
 def cdt_groups(alpha) -> dict[Composition, list[Word]]:
     """All words of the content, grouped by cyclic descent type padded to
-    len(alpha); each group in lexicographic order."""
+    len(alpha); each group in lexicographic order.  cdt is invariant under
+    rotation, so it is computed once per necklace, and the necklace's
+    distinct rotations join its class."""
     m = len(alpha)
     groups: dict[Composition, list[Word]] = {}
-    for w in enumerate_by_content(alpha):
-        groups.setdefault(pad_to(cdt(w), m), []).append(w)
+    for w, p in necklaces(alpha):
+        groups.setdefault(pad_to(cdt(w), m), []).extend(w[i:] + w[:i] for i in range(p))
+    for words in groups.values():
+        words.sort()
     return groups

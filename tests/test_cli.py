@@ -183,10 +183,11 @@ def test_verify_mbs_n_zero_exits_2(capsys):
     ["extension", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
     ["main", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
     ["main", "--n", "3"],
+    ["flex-universal", "--n-max", "3", "--max-parts", "2"],
     # 60!/(30! 30!) words, over the default cap
     ["main", "--alpha", "30,30", "--delta", "0,5"],
 ], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
-        "main-n", "main-over-cap"])
+        "main-n", "flex-universal-max-parts", "main-over-cap"])
 def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 
@@ -200,6 +201,24 @@ def test_verify_usage_errors_exit_2(capsys, argv):
 def test_delta_outside_the_box_exits_2(capsys, argv):
     # every cyclic descent type has delta_1 = 0 and 0 <= delta_l <= alpha_l
     assert_usage_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
+                                  if theorem.params == ("alpha", "delta")])
+def test_zero_part_of_alpha_exits_2_for_every_word_theorem(capsys, name):
+    # one gate, formulas.params, for every (alpha, delta) instance
+    code, out, err = run(capsys, "verify", name, "--alpha", "2,0,2", "--delta", "0,0,2")
+    assert_usage_error(code, out, err)
+    assert err == "error: alpha must be a non-empty strong composition\n"
+
+
+def test_internal_fault_exits_3_with_one_line(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("the two CSP methods disagree")
+    monkeypatch.setattr(formulas, "check_csp", broken)
+    code, out, err = run(capsys, "verify", "main", "--alpha", "2,2", "--delta", "0,2")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: the two CSP methods disagree\n"
 
 
 def test_verify_vandermonde_cap_counts_coefficient_products(capsys):
@@ -219,6 +238,7 @@ EXAMPLES = {
     "period-g": {"alpha": "4,2,3", "delta": "0,2,1"},
     "flex-maj": {"alpha": "2,2", "delta": "0,2"},
     "phi": {"alpha": "4,2,3", "delta": "0,2,1"},
+    "flex-universal": {"necklace": "1213"},
     "multisubset": {"n": "4", "d": "2", "alpha": "1,2"},
     "subset-star": {"n": "6", "d": "3", "alpha": "1,2"},
     "chain": {"n": "4", "k": "2", "chain": "1,2,4"},

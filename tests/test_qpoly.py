@@ -9,7 +9,7 @@ from csieve.qpoly import (ONE, ZERO, ResiduePoly, cyclotomic, evaluate_at_root,
                           has_period, monomial, normalize, orbit_gf, poly_add,
                           poly_divexact, poly_divmod, poly_mul, poly_reverse,
                           poly_text, q_binomial, q_multichoose, q_multinomial,
-                          reduce, refold, substitute_q_inverse)
+                          reduce, refold)
 
 
 def test_poly_basics():
@@ -85,14 +85,11 @@ def test_residue_arithmetic():
     assert (q * q * q) == ResiduePoly(3, (1, 0, 0))
 
 
-def test_refold_and_q_inverse():
+def test_refold():
     f = ResiduePoly(6, (1, 2, 3, 4, 5, 6))
     assert refold(f, 3) == ResiduePoly(3, (5, 7, 9))
     with pytest.raises(ValueError):
         refold(f, 4)
-    g = substitute_q_inverse(f)
-    assert g == ResiduePoly(6, (1, 6, 5, 4, 3, 2))
-    assert substitute_q_inverse(g) == f
 
 
 def test_orbit_gf():

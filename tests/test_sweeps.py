@@ -2,9 +2,11 @@
 failure: the criterion-4 walk of each insertion tree, and the closed
 forms against enumeration."""
 
+import itertools
+
 from csieve import formulas, sweeps
 from csieve.insertion import insert_triple, phi
-from csieve.words import cdt_groups, maj
+from csieve.words import cdt_groups, maj, necklace
 
 
 def test_sweep_phi_small():
@@ -65,3 +67,11 @@ def test_formula_witness_carries_both_coefficient_tuples(monkeypatch):
                        "enumerated": formulas.brute_gf(words, sum(alpha), maj).coeffs,
                        "formula": real(alpha, delta).shift(1).coeffs}
     assert witness["enumerated"] != witness["formula"]
+
+
+def test_sweep_flex_universal_checks_every_necklace_once():
+    keys = [key["necklace"] for key, verdict in sweeps.sweep_flex_universal(9)
+            if verdict.holds]
+    assert keys == [w for n in range(1, 10)
+                    for w in itertools.product(range(1, sweeps.FLEX_ALPHABET + 1), repeat=n)
+                    if necklace(w).representative == w]

@@ -2,9 +2,13 @@
 
 import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from csieve.words import (as_word, cdes, cdt, cdt_groups, content, cyclic_descent_set,
-                          des, descent_set, enumerate_by_content, flex, freq, inv, lex,
-                          maj, necklace, pad_to, period, rotate, strong_compositions)
+                          des, descent_set, enumerate_by_content, flex, flex_per_orbit,
+                          freq, inv, lex, maj, necklace, necklaces, pad_to, period, rotate,
+                          strong_compositions)
 
 W = as_word([1, 5, 5, 3, 1, 5, 5, 3])
 
@@ -73,6 +77,16 @@ def test_composition_helpers():
     assert list(strong_compositions(2, 3)) == []
 
 
+def contents_up_to(n_max):
+    """Every strong content with n <= n_max, all numbers of parts."""
+    for n in range(1, n_max + 1):
+        for parts in range(1, n + 1):
+            yield from strong_compositions(n, parts)
+
+
+ZERO_PART_CONTENTS = [(2, 0, 2), (2, 2, 0), (0, 1)]
+
+
 def test_enumerate_by_content():
     words = list(enumerate_by_content((2, 1)))
     assert words == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
@@ -81,6 +95,17 @@ def test_enumerate_by_content():
     assert len(words) == 6
     assert words == sorted(words)
     assert all(content(w) == (2, 0, 2) for w in words)
+
+
+def test_enumerate_by_content_is_the_sorted_permutations():
+    for alpha in list(contents_up_to(7)) + ZERO_PART_CONTENTS:
+        letters = [j for j, a in enumerate(alpha, 1) for _ in range(a)]
+        assert list(enumerate_by_content(alpha)) == sorted(
+            set(itertools.permutations(letters))), alpha
+    assert list(enumerate_by_content(())) == [()]
+    assert list(enumerate_by_content((0, 0))) == [()]
+    with pytest.raises(ValueError):
+        list(enumerate_by_content((2, -1)))
 
 
 def test_cdt_groups():
@@ -101,3 +126,62 @@ def test_cdt_partitions_the_content_class():
             assert cdt(w)[0] == 0
             assert all(d <= a for a, d in zip(alpha, cdt(w)))
             assert sum(cdt(w)) == cdes(w)
+
+
+def cdt_groups_per_word(alpha):
+    """The reference: every word of the content, with cdt per word."""
+    groups = {}
+    for w in enumerate_by_content(alpha):
+        groups.setdefault(pad_to(cdt(w), len(alpha)), []).append(w)
+    return groups
+
+
+def assert_same_groups(alpha):
+    groups, reference = cdt_groups(alpha), cdt_groups_per_word(alpha)
+    assert groups == reference, alpha
+    assert list(groups) == list(reference), alpha
+
+
+def test_cdt_groups_equal_the_per_word_reference():
+    for alpha in list(contents_up_to(7)) + ZERO_PART_CONTENTS + [(), (0,)]:
+        assert_same_groups(alpha)
+
+
+@st.composite
+def contents(draw, n_max=10, max_parts=4):
+    """A content of at most n_max letters in 1..max_parts parts, zero
+    parts allowed."""
+    left = draw(st.integers(0, n_max))
+    parts = []
+    for _ in range(draw(st.integers(1, max_parts)) - 1):
+        parts.append(draw(st.integers(0, left)))
+        left -= parts[-1]
+    return tuple(parts) + (left,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(contents())
+def test_cdt_groups_equal_the_per_word_reference_up_to_10_letters(alpha):
+    assert_same_groups(alpha)
+
+
+def test_cdt_is_constant_on_every_necklace():
+    # the lemma cdt_groups rests on: one cdt per necklace
+    for alpha in contents_up_to(7):
+        for w in enumerate_by_content(alpha):
+            assert cdt(rotate(w, 1)) == cdt(w), w
+
+
+def test_necklaces_are_the_least_rotations_with_their_periods():
+    for alpha in list(contents_up_to(7)) + ZERO_PART_CONTENTS:
+        assert list(necklaces(alpha)) == [
+            (w, period(w)) for w in enumerate_by_content(alpha)
+            if necklace(w).representative == w], alpha
+    assert list(necklaces(())) == [((), 1)]
+
+
+def test_flex_per_orbit_is_flex():
+    words = cdt_groups((4, 2, 3))[(0, 2, 1)]
+    flexes = flex_per_orbit(words)
+    assert set(flexes) == set(words)
+    assert all(flexes[w] == flex(w) for w in words)
