@@ -32,6 +32,14 @@ class OrbitDecomposition:
         return tuple(len(o) for o in self.orbits)
 
 
+class NotClosed(ValueError):
+    """A step takes an element of the carrier outside the carrier."""
+
+    def __init__(self, element, image):
+        super().__init__(f"step leaves the carrier at {element!r} -> {image!r}")
+        self.element, self.image = element, image
+
+
 @dataclass
 class CyclicAction:
     """An order-n action on a finite indexed set, given by its generator."""
@@ -45,14 +53,15 @@ class CyclicAction:
         self.carrier = tuple(self.carrier)
 
     def successor(self) -> dict:
-        """Generator as a mapping; rejects non-bijective steps."""
+        """Generator as a mapping; rejects non-bijective steps, and raises
+        NotClosed for a step that leaves the carrier."""
         if self._successor is None:
             carrier_set = set(self.carrier)
             succ = {}
             for x in self.carrier:
                 y = self.step(x)
                 if y not in carrier_set:
-                    raise ValueError(f"step leaves the carrier at {x!r} -> {y!r}")
+                    raise NotClosed(x, y)
                 succ[x] = y
             if len(set(succ.values())) != len(succ):
                 raise ValueError("step is not a bijection of the carrier")
@@ -97,14 +106,20 @@ def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:
 
 
 def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
-    """Dual cyclic sieving check for the triple (carrier, C_n, f)."""
+    """Dual cyclic sieving check for the triple (carrier, C_n, f).  A step
+    that leaves the carrier fails it with a closure witness: the element
+    and its image."""
     n = a.order
     if f.n != n:
         raise ValueError("polynomial modulus must equal the action order")
+    try:
+        succ = a.successor()
+    except NotClosed as exc:
+        return Verdict(False, {"check": "closure", "element": exc.element,
+                               "image": exc.image})
 
     # Method 1: fixed points vs exact root-of-unity evaluations.
     witness1 = None
-    succ = a.successor()
     current = {x: x for x in a.carrier}   # step^k, built incrementally
     for k in range(n):
         if k:

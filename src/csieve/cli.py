@@ -193,6 +193,20 @@ def _sweep_bounds(args, name: str, sweep) -> dict:
     return bounds
 
 
+def _check_sweep_cap(theorem, bounds: dict) -> None:
+    """Size a content sweep (one that takes max_parts) by its largest
+    content before it starts, without enumerating anything."""
+    defaults = inspect.signature(theorem.sweep).parameters
+    if theorem.size is None or "max_parts" not in defaults:
+        return
+    n_max = bounds.get("n_max", defaults["n_max"].default)
+    max_parts = bounds.get("max_parts", defaults["max_parts"].default)
+    if max_parts is None:       # all parts
+        max_parts = n_max
+    if n_max > 0:
+        check_cap(theorem.size(alpha=sweeps.largest_content(n_max, max_parts)))
+
+
 def _parse_param(param: str, value):
     if param in COMPOSITIONS:
         return parse_composition(value, param)
@@ -232,6 +246,7 @@ def cmd_verify(args) -> int:
             check_cap(theorem.size(**key))
         items = iter([(key, theorem.verify(**key))])
     else:
+        _check_sweep_cap(theorem, bounds)
         items = theorem.sweep(**bounds)
 
     report = sweeps.run_sweep(items, collect_instances=not args.failures_only)

@@ -88,6 +88,12 @@ def params(alpha, delta) -> InstanceParams:
     return InstanceParams(tuple(alpha), tuple(delta))
 
 
+def strong_content(alpha) -> Composition:
+    """alpha through the gate of InstanceParams, for the theorems that take
+    no delta: the zero type lies in every box."""
+    return params(alpha, (0,) * len(tuple(alpha))).alpha
+
+
 def flatten(alpha, delta) -> tuple[Composition, Composition]:
     """Drop zero parts of alpha with their paired delta entries; a nonzero
     delta entry over an absent letter stays, for InstanceParams to reject."""
@@ -213,8 +219,8 @@ def _word_class(p: InstanceParams, words):
 
 def verify_main_theorem(alpha, delta, words=None) -> Verdict:
     """The refinement CSP: rotation on the words of content alpha and CDT
-    delta, against their maj generating function.  Building the rotation
-    action rejects (ValueError) a class that rotation does not preserve."""
+    delta, against their maj generating function.  A class that rotation
+    does not preserve fails with a closure witness."""
     p = params(alpha, delta)
     words = _word_class(p, words)
     if not words:
@@ -267,7 +273,7 @@ def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
 def vandermonde_check(alpha) -> Verdict:
     """The multinomial coefficient as a sum of the per-CDT closed forms,
     numerically and as residues mod q^n - 1."""
-    alpha = tuple(alpha)
+    alpha = strong_content(alpha)
     n = sum(alpha)
     total = 0
     gf_total = ResiduePoly.zero(n)
@@ -296,7 +302,7 @@ def period_g_check(alpha, delta) -> Verdict:
 def macmahon_check(alpha) -> Verdict:
     """maj and inv distributions on the full content class both equal the
     q-multinomial coefficient."""
-    alpha = tuple(alpha)
+    alpha = strong_content(alpha)
     words = list(enumerate_by_content(alpha))
     expected = q_multinomial(sum(alpha), alpha)
     if tally(map(maj, words)) != expected:

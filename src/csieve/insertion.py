@@ -172,13 +172,24 @@ def insert_triple(w, letter: int, falls: Iterable[int], runs: Iterable[int]) -> 
     # each opened fall adds a cyclic descent, hence a run
     if any(not 0 <= r < len(w) - len(fall_ends) + len(falls) for r in runs):
         raise ValueError("run index out of range")
+    return _insert_triple(w, fall_ends, letter, falls, runs)
+
+
+def _insert_triple(w: Word, fall_ends: list[int], letter: int,
+                   falls: Iterable[int], runs: Iterable[int]) -> Word:
+    """insert_triple on labels already known to be valid for w, whose
+    fall ends are given."""
     w = _open_falls(w, fall_ends, letter, falls)
     return _close_runs(w, _run_ends(w), letter, runs)
 
 
 def predicted_maj_increment(w, falls: Sequence[int], runs: Sequence[int]) -> int:
     """Major index change from inserting a triple, without inserting."""
-    c = cdes(as_word(w))
+    return _maj_increment(cdes(as_word(w)), falls, runs)
+
+
+def _maj_increment(c: int, falls: Sequence[int], runs: Sequence[int]) -> int:
+    """predicted_maj_increment for a word with c cyclic descents."""
     nf, nr = len(falls), len(runs)
     return comb(nf + 1, 2) + c * (nf + nr) + nf * nr + sum(falls) - sum(runs)
 
@@ -284,9 +295,12 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
 
     Yields (parent, path, word) for every node in preorder: first the root
     1^alpha_1 with parent None and an empty path, then each child, built
-    once from its parent by insert_triple along the edge labelled path[-1].
-    The leaves are the nodes whose path has len(alpha) - 1 labels; by the
-    bijection, their path is their phi image."""
+    once from its parent along the edge labelled path[-1], as insert_triple
+    would build it.  The labels come from label_spaces, so they are valid
+    by construction: the walk reads each node's falls once for all its
+    children and skips insert_triple's checks.  The leaves are the nodes
+    whose path has len(alpha) - 1 labels; by the bijection, their path is
+    their phi image."""
     p = params(alpha, delta)
     per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(p.alpha, p.delta)]
 
@@ -294,9 +308,10 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
         yield parent, path, w
         if len(path) < len(per_letter):
             letter = len(path) + 2
+            fall_ends = _fall_ends(w)
             for falls, runs in per_letter[len(path)]:
                 yield from visit(w, path + ((falls, runs),),
-                                 insert_triple(w, letter, falls, runs))
+                                 _insert_triple(w, fall_ends, letter, falls, runs))
 
     return visit(None, (), (1,) * p.alpha[0])
 

@@ -161,7 +161,7 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     carrier = tuple(enumerate_g_chain(n, k, chain))
     action = interval_action(n, d, carrier)
     f = brute_gf(carrier, d, sum_prime)
-    verdict = check_csp(action, f)    # successor() raises if G_D is not closed
+    verdict = check_csp(action, f)    # fails with a closure witness if G_D is not closed
     if not verdict.holds:
         return verdict
     for orbit in orbits(action).orbits:

@@ -11,7 +11,7 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import insertion_tree, phi, predicted_maj_increment
+from .insertion import _maj_increment, _recover_triple, insertion_tree
 from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
@@ -19,8 +19,8 @@ from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial
 from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (Word, cdt, cdt_groups, enumerate_by_content, maj, necklaces_over,
-                    pad_to, strong_compositions)
+from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
+                    necklaces_over, pad_to, strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -33,6 +33,14 @@ def iter_contents(n_max: int, max_parts: int = 4) -> Iterator[tuple]:
     for n in range(1, n_max + 1):
         for parts in range(1, min(max_parts, n) + 1):
             yield from strong_compositions(n, parts)
+
+
+def largest_content(n_max: int, max_parts: int) -> tuple:
+    """The content of iter_contents(n_max, max_parts) with the most words:
+    n_max split as evenly as possible into min(max_parts, n_max) parts."""
+    parts = min(max_parts, n_max)
+    q, r = divmod(n_max, parts)
+    return (q + 1,) * r + (q,) * (parts - r)
 
 
 def sweep_main(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
@@ -66,34 +74,52 @@ def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
     return groups
 
 
+def _edge_failure(check: str, parent: Word, letter: int, labels, child: Word,
+                  **found) -> Verdict:
+    """A failing verdict on one edge of an insertion tree, with what
+    rebuilds the child: insert_triple(parent, letter, falls, runs)."""
+    falls, runs = labels
+    return Verdict(False, {"check": check, "parent": parent, "letter": letter,
+                           "falls": falls, "runs": runs, "child": child, **found})
+
+
 def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
-    """The insertion bijection on one instance, in one walk of its tree:
-    every edge's predicted maj increment matches the actual change, phi of
-    every leaf returns the labels of its path, and the leaves are exactly
-    the `enumerated` words ending in 1 (by default, from
-    words_ending_in_one), each built once."""
+    """The insertion bijection on one instance, in one walk of its tree.
+    On every edge (parent, letter, falls, runs, child) the triple recovered
+    from the child is (parent, falls, runs), and the predicted maj increment
+    matches the actual change.  phi folds that recovery from a leaf to the
+    root, so by induction phi of every leaf returns the labels of its path.
+    Last, the leaves are exactly the `enumerated` words ending in 1 (by
+    default, from words_ending_in_one), each built once.  maj is taken
+    once per node, and cdes once per node with children."""
     p = params(alpha, delta)
     if enumerated is None:
         enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
     depth = p.m - 1
+    # On a preorder walk the latest node one level up is the parent.
+    node_maj = [0] * (depth + 1)
+    node_cdes = [0] * depth
     built: set[Word] = set()
     leaf_count = 0
     extra = None        # the first leaf built twice or not enumerated
     for parent, path, w in insertion_tree(p.alpha, p.delta):
+        level = len(path)
+        node_maj[level] = maj(w)
+        if level < depth:
+            node_cdes[level] = cdes(w)
         if parent is not None:
+            letter = level + 1
             falls, runs = path[-1]
-            predicted = predicted_maj_increment(parent, falls, runs)
-            actual = maj(w) - maj(parent)
+            recovered = _recover_triple(w, letter)
+            if recovered != (parent, falls, runs):
+                return _edge_failure("recovery", parent, letter, path[-1], w,
+                                     recovered=recovered)
+            predicted = _maj_increment(node_cdes[level - 1], falls, runs)
+            actual = node_maj[level] - node_maj[level - 1]
             if actual != predicted:
-                return Verdict(False, {
-                    "check": "maj-increment", "word": parent, "letter": len(path) + 1,
-                    "falls": falls, "runs": runs,
-                    "predicted": predicted, "actual": actual})
-        if len(path) == depth:
-            image = phi(w)
-            if image != path:
-                return Verdict(False, {"check": "roundtrip", "word": w,
-                                       "labels": path, "phi": image})
+                return _edge_failure("maj-increment", parent, letter, path[-1], w,
+                                     predicted=predicted, actual=actual)
+        if level == depth:
             if extra is None and (w in built or w not in enumerated):
                 extra = w
             built.add(w)
@@ -107,9 +133,10 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
 
 
 def sweep_phi(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
-    """Bijectivity of the insertion encoding (verify_phi) on every feasible
-    content/CDT class; the leaf-set oracle enumerates each content's words
-    ending in 1 once."""
+    """Bijectivity of the insertion encoding (verify_phi: recovery and the
+    maj increment on every edge, the leaves against brute force) on every
+    feasible content/CDT class; the leaf-set oracle enumerates each
+    content's words ending in 1 once."""
     for alpha in iter_contents(n_max, max_parts):
         ending_in_one = words_ending_in_one(alpha)
         for delta in feasible_deltas(alpha):

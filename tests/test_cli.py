@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from csieve import formulas, sweeps
+from csieve import cli, formulas, sweeps
+from csieve.actions import CyclicAction
 from csieve.cli import main, parse_composition, parse_word, UsageError
 from csieve.words import inv
 
@@ -210,6 +211,40 @@ def test_zero_part_of_alpha_exits_2_for_every_word_theorem(capsys, name):
     code, out, err = run(capsys, "verify", name, "--alpha", "2,0,2", "--delta", "0,0,2")
     assert_usage_error(code, out, err)
     assert err == "error: alpha must be a non-empty strong composition\n"
+
+
+@pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
+                                  if theorem.params == ("alpha",)])
+def test_zero_part_of_alpha_exits_2_for_every_content_theorem(capsys, name):
+    # the same gate for the theorems that take alpha alone
+    code, out, err = run(capsys, "verify", name, "--alpha", "2,0,2")
+    assert_usage_error(code, out, err)
+    assert err == "error: alpha must be a non-empty strong composition\n"
+
+
+def test_a_class_rotation_leaves_fails_with_a_closure_witness(capsys, monkeypatch):
+    # a step that sorts the word takes 1212 out of W((2,2), (0,2))
+    monkeypatch.setattr(formulas, "rotation_action",
+                        lambda words: CyclicAction(4, words, lambda w: tuple(sorted(w))))
+    code, out, err = run(capsys, "verify", "main", "--alpha", "2,2", "--delta", "0,2")
+    assert code == 1 and err == ""
+    assert json.loads(out)["failures"][0]["witness"] == {
+        "check": "closure", "element": [1, 2, 1, 2], "image": [1, 1, 2, 2]}
+
+
+@pytest.mark.parametrize("name", ["phi", "main"])
+def test_content_sweep_over_the_cap_exits_2_before_it_starts(capsys, name):
+    # the largest content of n <= 30 in 4 parts, (8, 8, 7, 7), has about 3e16 words
+    code, out, err = run(capsys, "verify", name, "--n-max", "30")
+    assert_usage_error(code, out, err)
+    assert "refusing to enumerate" in err
+
+
+def test_default_content_sweeps_fit_the_default_cap(monkeypatch):
+    monkeypatch.delenv("CSIEVE_CAP", raising=False)
+    for name, theorem in sweeps.THEOREMS.items():
+        if theorem.sweep is not None:
+            cli._check_sweep_cap(theorem, {})
 
 
 def test_internal_fault_exits_3_with_one_line(capsys, monkeypatch):

@@ -80,8 +80,9 @@ def test_chain_refinement_rejects_a_family_not_closed(monkeypatch):
     # the interval rotation of [0, 3] by 2-intervals takes (0, 2) to
     # (1, 3), which this family leaves out
     monkeypatch.setattr(subsets, "enumerate_g_chain", lambda n, k, chain: iter([(0, 2)]))
-    with pytest.raises(ValueError):
-        verify_chain_refinement(4, 2, (1, 2, 4))
+    verdict = verify_chain_refinement(4, 2, (1, 2, 4))
+    assert verdict.holds is False
+    assert verdict.witness == {"check": "closure", "element": (0, 2), "image": (1, 3)}
 
 
 def test_shift_bijection_raises_sum_prime_by_e():

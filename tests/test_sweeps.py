@@ -4,7 +4,7 @@ forms against enumeration."""
 
 import itertools
 
-from csieve import formulas, sweeps
+from csieve import formulas, insertion, sweeps
 from csieve.insertion import insert_triple, phi
 from csieve.words import cdt_groups, maj, necklace
 
@@ -22,27 +22,48 @@ def test_words_ending_in_one_groups_by_cdt():
 
 
 def test_maj_increment_witness(monkeypatch):
-    real = sweeps.predicted_maj_increment
-    monkeypatch.setattr(sweeps, "predicted_maj_increment",
-                        lambda w, falls, runs: real(w, falls, runs) + 1)
+    real = sweeps._maj_increment
+    monkeypatch.setattr(sweeps, "_maj_increment",
+                        lambda c, falls, runs: real(c, falls, runs) + 1)
     verdict = sweeps.verify_phi((4, 2, 3), (0, 2, 1))
     witness = verdict.witness
     assert verdict.holds is False
     assert witness["check"] == "maj-increment"
     assert witness["predicted"] == witness["actual"] + 1
-    child = insert_triple(witness["word"], witness["letter"],
+    child = insert_triple(witness["parent"], witness["letter"],
                           witness["falls"], witness["runs"])
-    assert maj(child) - maj(witness["word"]) == witness["actual"]
+    assert child == witness["child"]
+    assert maj(child) - maj(witness["parent"]) == witness["actual"]
 
 
-def test_roundtrip_witness(monkeypatch):
-    monkeypatch.setattr(sweeps, "phi", lambda w: ())
+def test_recovery_witness(monkeypatch):
+    monkeypatch.setattr(sweeps, "_recover_triple", lambda w, letter: ((), (), ()))
     verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0))
     witness = verdict.witness
     assert verdict.holds is False
-    assert witness["check"] == "roundtrip"
-    assert witness["phi"] == ()
-    assert phi(witness["word"]) == witness["labels"]
+    assert witness["check"] == "recovery"
+    assert witness["recovered"] == ((), (), ())
+    child = insert_triple(witness["parent"], witness["letter"],
+                          witness["falls"], witness["runs"])
+    assert child == witness["child"]
+    assert phi(child)[-1] == (witness["falls"], witness["runs"])
+
+
+def test_an_insert_that_drops_a_copy_fails(monkeypatch):
+    real = insertion._insert_triple
+
+    def drop_one_copy(w, fall_ends, letter, falls, runs):
+        child = list(real(w, fall_ends, letter, falls, runs))
+        del child[child.index(letter)]
+        return tuple(child)
+
+    monkeypatch.setattr(insertion, "_insert_triple", drop_one_copy)
+    verdict = sweeps.verify_phi((3, 1, 2), (0, 1, 1))
+    witness = verdict.witness
+    assert verdict.holds is False
+    assert witness["check"] == "recovery"
+    assert witness["recovered"] != (witness["parent"], witness["falls"], witness["runs"])
+    assert len(witness["child"]) < len(witness["parent"]) + len(witness["falls"] + witness["runs"])
 
 
 def test_leaf_set_witness():
