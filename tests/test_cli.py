@@ -205,19 +205,12 @@ def test_delta_outside_the_box_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
-                                  if theorem.params == ("alpha", "delta")])
+                                  if theorem.params in (("alpha", "delta"), ("alpha",))])
 def test_zero_part_of_alpha_exits_2_for_every_word_theorem(capsys, name):
-    # one gate, formulas.params, for every (alpha, delta) instance
-    code, out, err = run(capsys, "verify", name, "--alpha", "2,0,2", "--delta", "0,0,2")
-    assert_usage_error(code, out, err)
-    assert err == "error: alpha must be a non-empty strong composition\n"
-
-
-@pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
-                                  if theorem.params == ("alpha",)])
-def test_zero_part_of_alpha_exits_2_for_every_content_theorem(capsys, name):
-    # the same gate for the theorems that take alpha alone
-    code, out, err = run(capsys, "verify", name, "--alpha", "2,0,2")
+    # one gate, formulas.params, for every (alpha, delta) or alpha instance
+    instance = {"alpha": "2,0,2", "delta": "0,0,2"}
+    argv = [x for p in sweeps.THEOREMS[name].params for x in (f"--{p}", instance[p])]
+    code, out, err = run(capsys, "verify", name, *argv)
     assert_usage_error(code, out, err)
     assert err == "error: alpha must be a non-empty strong composition\n"
 
