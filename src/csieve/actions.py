@@ -1,14 +1,22 @@
 """Cyclic actions on finite sets and exact cyclic sieving verification.
 
-A CSP check always runs both equivalent tests: fixed-point counts against
-root-of-unity evaluations, and congruence with the sum of orbit generating
-functions mod q^n - 1.  The two are provably equivalent, so disagreement
-between them is a hard fault (an implementation bug), not a verdict.
+An action holds its generator as a permutation of carrier indices, built
+and validated once by `CyclicAction.successor`; both CSP methods run on
+that permutation.  A CSP check always runs both equivalent tests:
+fixed-point counts of every power of the generator against root-of-unity
+evaluations, and congruence with the sum of orbit generating functions
+mod q^n - 1.  The two are provably equivalent, so disagreement between
+them is a hard fault (an implementation bug), not a verdict.  The value
+of f at omega^k depends only on the order m = n / gcd(n, k) of omega^k,
+so method 1 evaluates f once per order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
+from operator import eq
 from typing import Callable, Optional
 
 from .qpoly import ResiduePoly, evaluate_at_root, orbit_gf, has_period, refold
@@ -39,6 +47,11 @@ class NotClosed(ValueError):
         super().__init__(f"step leaves the carrier at {element!r} -> {image!r}")
         self.element, self.image = element, image
 
+    def verdict(self) -> Verdict:
+        """The failing closure verdict: the element and its image."""
+        return Verdict(False, {"check": "closure", "element": self.element,
+                               "image": self.image})
+
 
 @dataclass
 class CyclicAction:
@@ -47,46 +60,55 @@ class CyclicAction:
     order: int
     carrier: tuple
     step: Callable
-    _successor: dict = field(default=None, repr=False, compare=False)
+    _successor: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.carrier = tuple(self.carrier)
 
-    def successor(self) -> dict:
-        """Generator as a mapping; rejects non-bijective steps, and raises
-        NotClosed for a step that leaves the carrier."""
+    def successor(self) -> list[int]:
+        """The generator as a permutation of carrier indices:
+        step(carrier[i]) == carrier[perm[i]].  The one place where `step`
+        is applied: raises NotClosed for the first element whose image
+        leaves the carrier, and ValueError for a step that is not a
+        bijection of the carrier."""
         if self._successor is None:
-            carrier_set = set(self.carrier)
-            succ = {}
-            for x in self.carrier:
-                y = self.step(x)
-                if y not in carrier_set:
-                    raise NotClosed(x, y)
-                succ[x] = y
-            if len(set(succ.values())) != len(succ):
+            index = {x: i for i, x in enumerate(self.carrier)}
+            images = list(map(self.step, self.carrier))
+            perm = list(map(index.get, images))
+            if None in perm:
+                i = perm.index(None)
+                raise NotClosed(self.carrier[i], images[i])
+            if len(set(perm)) != len(perm):
                 raise ValueError("step is not a bijection of the carrier")
-            self._successor = succ
+            self._successor = perm
         return self._successor
 
     def orbit_of(self, x) -> tuple:
-        succ = self.successor()
+        perm = self.successor()
+        start = self.carrier.index(x)
         orbit = [x]
-        y = succ[x]
-        while y != x:
-            orbit.append(y)
-            y = succ[y]
+        i = perm[start]
+        while i != start:
+            orbit.append(self.carrier[i])
+            i = perm[i]
         return tuple(sorted(orbit))
 
 
 def orbits(a: CyclicAction) -> OrbitDecomposition:
-    seen = set()
+    perm = a.successor()
+    carrier = a.carrier
+    seen = bytearray(len(perm))
     out = []
-    for x in a.carrier:
-        if x in seen:
+    for start in range(len(perm)):
+        if seen[start]:
             continue
-        orb = a.orbit_of(x)
-        seen.update(orb)
-        out.append(orb)
+        orbit = []
+        i = start
+        while not seen[i]:
+            seen[i] = 1
+            orbit.append(carrier[i])
+            i = perm[i]
+        out.append(tuple(sorted(orbit)))
     return OrbitDecomposition(tuple(sorted(out)))
 
 
@@ -94,15 +116,18 @@ def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:
     """The order-g action of the unique subgroup C_g, i.e. step^(n/g)."""
     if g < 1 or a.order % g:
         raise ValueError("subgroup order must divide the action order")
-    succ = a.successor()
+    perm = a.successor()
+    carrier = a.carrier
+    index = {x: i for i, x in enumerate(carrier)}
     power = a.order // g
 
     def substep(x):
+        i = index[x]
         for _ in range(power):
-            x = succ[x]
-        return x
+            i = perm[i]
+        return carrier[i]
 
-    return CyclicAction(g, a.carrier, substep)
+    return CyclicAction(g, carrier, substep)
 
 
 def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
@@ -113,34 +138,40 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     if f.n != n:
         raise ValueError("polynomial modulus must equal the action order")
     try:
-        succ = a.successor()
+        perm = a.successor()
     except NotClosed as exc:
-        return Verdict(False, {"check": "closure", "element": exc.element,
-                               "image": exc.image})
+        return exc.verdict()
 
-    # Method 1: fixed points vs exact root-of-unity evaluations.
+    # Method 1: the fixed points of every power step^k against f(omega^k),
+    # evaluated once per order m of omega^k.
     witness1 = None
-    current = {x: x for x in a.carrier}   # step^k, built incrementally
+    identity = range(len(perm))
+    current = list(identity)        # step^k as an index list
+    values = {}                     # m -> f at a primitive m-th root of unity
     for k in range(n):
         if k:
-            current = {x: succ[y] for x, y in current.items()}
-        fixed = sum(1 for x, y in current.items() if x == y)
-        value = evaluate_at_root(f, k)
+            current = list(map(perm.__getitem__, current))
+        fixed = sum(map(eq, current, identity))
+        m = n // gcd(n, k)
+        if m not in values:
+            values[m] = evaluate_at_root(f, k)
+        value = values[m]
         if value != fixed:
             witness1 = {"k": k, "fixed_points": fixed,
                         "evaluation": value if value is not None else "non-integer"}
             break
 
-    # Method 2: congruence with the orbit generating function sum.
-    expected = ResiduePoly.zero(n)
-    for orb in orbits(a).orbits:
-        expected = expected + orbit_gf(n, len(orb))
+    # Method 2: congruence with the orbit generating function sum, one
+    # orbit_gf per distinct orbit size.
+    expected = [0] * n
+    for size, count in Counter(map(len, orbits(a).orbits)).items():
+        for i, c in enumerate(orbit_gf(n, size).coeffs):
+            expected[i] += count * c
     witness2 = None
-    if f != expected:
-        for i, (have, want) in enumerate(zip(f.coeffs, expected.coeffs)):
-            if have != want:
-                witness2 = {"exponent": i, "coefficient": have, "expected": want}
-                break
+    for i, (have, want) in enumerate(zip(f.coeffs, expected)):
+        if have != want:
+            witness2 = {"exponent": i, "coefficient": have, "expected": want}
+            break
 
     if (witness1 is None) != (witness2 is None):
         raise RuntimeError(
@@ -171,6 +202,8 @@ class ExtensionReport:
 
 
 def check_extension_hypotheses(a: CyclicAction, g: int, f: ResiduePoly) -> ExtensionReport:
+    """The hypotheses and the full CSP; raises NotClosed when the step
+    leaves the carrier, since the subgroup action needs a closed one."""
     if g < 1 or a.order % g:
         raise ValueError("g must divide the action order")
     sub = check_csp(restrict_to_subgroup(a, g), refold(f, g))
@@ -191,9 +224,11 @@ def check_refinement(parent: CyclicAction, sub_carrier, f_sub: ResiduePoly) -> V
     """
     sub = tuple(sub_carrier)
     sub_set = set(sub)
-    succ = parent.successor()
+    perm = parent.successor()
+    carrier = parent.carrier
+    index = {x: i for i, x in enumerate(carrier)}
     for x in sub:
-        if succ[x] not in sub_set:
+        if carrier[perm[index[x]]] not in sub_set:
             raise ValueError(f"sub-carrier not closed under the action: {x!r} escapes")
     action = CyclicAction(parent.order, sub, parent.step)
     return check_csp(action, f_sub)

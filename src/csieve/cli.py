@@ -194,17 +194,14 @@ def _sweep_bounds(args, name: str, sweep) -> dict:
 
 
 def _check_sweep_cap(theorem, bounds: dict) -> None:
-    """Size a content sweep (one that takes max_parts) by its largest
-    content before it starts, without enumerating anything."""
-    defaults = inspect.signature(theorem.sweep).parameters
-    if theorem.size is None or "max_parts" not in defaults:
+    """Size a sweep by its largest instance before it starts, without
+    enumerating anything."""
+    if theorem.largest is None:
         return
-    n_max = bounds.get("n_max", defaults["n_max"].default)
-    max_parts = bounds.get("max_parts", defaults["max_parts"].default)
-    if max_parts is None:       # all parts
-        max_parts = n_max
-    if n_max > 0:
-        check_cap(theorem.size(alpha=sweeps.largest_content(n_max, max_parts)))
+    defaults = inspect.signature(theorem.sweep).parameters
+    resolved = {b: bounds.get(b, p.default) for b, p in defaults.items()}
+    if resolved["n_max"] > 0:
+        check_cap(theorem.size(**theorem.largest(**resolved)))
 
 
 def _parse_param(param: str, value):

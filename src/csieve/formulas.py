@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import comb, factorial, gcd, prod
 from typing import Iterator
 
-from .actions import CyclicAction, Verdict, check_csp, check_extension_hypotheses
+from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
+                      check_extension_hypotheses)
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
@@ -232,13 +233,17 @@ def verify_extension(alpha, delta) -> Verdict:
     """The extension lemma on one class: the hypotheses at
     g = gcd(alpha, delta) (the subgroup CSP, period g, orbit divisibility)
     and the full rotation CSP all hold.  The failure witness is the
-    ExtensionReport."""
+    ExtensionReport, or for a class that rotation does not preserve the
+    closure witness: an element and its image."""
     p = params(alpha, delta)
     words = _word_class(p, None)
     if not words:
         return Verdict(True, None)
-    report = check_extension_hypotheses(rotation_action(words), p.g,
-                                        brute_gf(words, p.n, maj))
+    action, f = rotation_action(words), brute_gf(words, p.n, maj)
+    try:
+        report = check_extension_hypotheses(action, p.g, f)
+    except NotClosed as exc:
+        return exc.verdict()
     holds = report.hypotheses_hold and report.full_csp.holds
     return Verdict(holds, None if holds else report.to_json())
 

@@ -10,6 +10,7 @@ splits into the d-intervals [(j-1)d, jd-1], j = 1..n/d.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
@@ -42,11 +43,24 @@ def interval_profile(a, n: int, d: int) -> Composition:
     return tuple(parts)
 
 
+# The actions as permutations of the universe [0, n-1], cached per
+# (n, d, step): the image of element x is table[x].
+
+@lru_cache(maxsize=1024)
+def _interval_table(n: int, d: int, step: int) -> IndexTuple:
+    return tuple(d * (x // d) + (x % d + step) % d for x in range(n))
+
+
+@lru_cache(maxsize=1024)
+def _global_table(n: int, d: int, step: int) -> IndexTuple:
+    return tuple((x + step * (n // d)) % n for x in range(n))
+
+
 def rotate_within_intervals(a, n: int, d: int, step: int = 1) -> IndexTuple:
     """The interval action: every d-interval rotates forward simultaneously."""
     if d < 1 or n % d:
         raise ValueError("d must divide n")
-    return tuple(sorted(d * (x // d) + (x % d + step) % d for x in a))
+    return tuple(sorted(map(_interval_table(n, d, step).__getitem__, a)))
 
 
 def rotate_global(a, n: int, d: int, step: int = 1) -> IndexTuple:
@@ -54,7 +68,7 @@ def rotate_global(a, n: int, d: int, step: int = 1) -> IndexTuple:
     adding n/d to every element mod n."""
     if d < 1 or n % d:
         raise ValueError("d must divide n")
-    return tuple(sorted((x + step * (n // d)) % n for x in a))
+    return tuple(sorted(map(_global_table(n, d, step).__getitem__, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +289,7 @@ def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
     carrier = tuple(enumerate_s_kb(n, k, b))
     if not carrier:
         return Verdict(True, None)
-    action = CyclicAction(n, carrier,
-                          lambda a: tuple(sorted((x + 1) % n for x in a)))
-    return check_csp(action, brute_gf(carrier, n, lambda a: mbs(a, n)))
+    return check_csp(global_action(n, n, carrier), brute_gf(carrier, n, lambda a: mbs(a, n)))
 
 
 def subset_from_two_letter_word(w) -> IndexTuple:

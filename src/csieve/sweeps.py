@@ -35,10 +35,11 @@ def iter_contents(n_max: int, max_parts: int = 4) -> Iterator[tuple]:
             yield from strong_compositions(n, parts)
 
 
-def largest_content(n_max: int, max_parts: int) -> tuple:
+def largest_content(n_max: int, max_parts: int | None) -> tuple:
     """The content of iter_contents(n_max, max_parts) with the most words:
-    n_max split as evenly as possible into min(max_parts, n_max) parts."""
-    parts = min(max_parts, n_max)
+    n_max split as evenly as possible into min(max_parts, n_max) parts
+    (all n_max parts when max_parts is None)."""
+    parts = n_max if max_parts is None else min(max_parts, n_max)
     q, r = divmod(n_max, parts)
     return (q + 1,) * r + (q,) * (parts - r)
 
@@ -273,38 +274,67 @@ class Theorem(NamedTuple):
     # product in maj_gf_mod_n costs), counted without enumerating, for the
     # enumeration cap; None when the verifier enumerates nothing.
     size: Callable[..., int] | None
+    # The instance of the sweep with the largest size, from the sweep's
+    # bounds (n_max >= 1), so that a sweep is sized before it starts; None
+    # when size is.
+    largest: Callable[..., dict] | None
 
 
 def _words(alpha, delta=None) -> int:
     return multinomial(alpha)
 
 
+def _largest_content(n_max: int, max_parts: int | None) -> dict:
+    return {"alpha": largest_content(n_max, max_parts)}
+
+
+def _largest_vandermonde(n_max: int, max_parts: int) -> dict:
+    """The size weighs every part but the first, so alpha_1 = 1 and the
+    rest of n_max balanced over the other parts."""
+    if min(max_parts, n_max) == 1:
+        return {"alpha": (n_max,)}
+    return {"alpha": (1,) + largest_content(n_max - 1, max_parts - 1)}
+
+
 THEOREMS: dict[str, Theorem] = {
-    "main": Theorem(("alpha", "delta"), verify_main_theorem, sweep_main, _words),
-    "macmahon": Theorem(("alpha",), macmahon_check, sweep_macmahon, _words),
+    "main": Theorem(("alpha", "delta"), verify_main_theorem, sweep_main, _words,
+                    _largest_content),
+    "macmahon": Theorem(("alpha",), macmahon_check, sweep_macmahon, _words,
+                        _largest_content),
     "tilde-gf": Theorem(("alpha", "delta"), verify_formula_vs_oracle, sweep_formulas,
-                        _words),
+                        _words, _largest_content),
     "maj-mod-n": Theorem(("alpha", "delta"), verify_formula_vs_oracle, sweep_formulas,
-                         _words),
+                         _words, _largest_content),
     "vandermonde": Theorem(("alpha",), vandermonde_check, sweep_vandermonde,
-                           lambda alpha: prod(a + 1 for a in alpha[1:]) * sum(alpha) ** 2),
-    "period-g": Theorem(("alpha", "delta"), period_g_check, sweep_period_g, None),
+                           lambda alpha: prod(a + 1 for a in alpha[1:]) * sum(alpha) ** 2,
+                           _largest_vandermonde),
+    "period-g": Theorem(("alpha", "delta"), period_g_check, sweep_period_g, None, None),
     "flex-maj": Theorem(("alpha", "delta"), verify_flex_maj_equidistribution,
-                        sweep_flex_maj, _words),
-    "phi": Theorem(("alpha", "delta"), verify_phi, sweep_phi, _words),
+                        sweep_flex_maj, _words, _largest_content),
+    "phi": Theorem(("alpha", "delta"), verify_phi, sweep_phi, _words, _largest_content),
     "flex-universal": Theorem(("necklace",), verify_flex_universal, sweep_flex_universal,
-                              lambda necklace: len(necklace)),
+                              lambda necklace: len(necklace),
+                              lambda n_max: {"necklace": (1,) * n_max}),
+    # A profile's carrier is part of the k-(multi)subsets of [0, n-1], all
+    # of which the single interval d = n holds: the largest instance is at
+    # n = n_max, d = n_max and the largest k.
     "multisubset": Theorem(
         ("n", "d", "alpha"), verify_multisubset_refinement, sweep_multisubset,
-        lambda n, d, alpha: prod(multichoose(d, a) for a in alpha)),
+        lambda n, d, alpha: prod(multichoose(d, a) for a in alpha),
+        lambda n_max: {"n": n_max, "d": n_max, "alpha": (K_MAX,)}),
     "subset-star": Theorem(
         ("n", "d", "alpha"), verify_subset_star, sweep_subset_star,
-        lambda n, d, alpha: prod(comb(max(d, 0), a) for a in alpha)),
+        lambda n, d, alpha: prod(comb(max(d, 0), a) for a in alpha),
+        lambda n_max: {"n": n_max, "d": n_max, "alpha": (min(K_MAX, n_max // 2),)}),
+    # Both enumerate every k-subset of [0, n-1]; C(n, k) peaks at k = n // 2.
     "chain": Theorem(("n", "k", "chain"), verify_chain_refinement, sweep_chains,
-                     lambda n, k, chain: comb(n, k)),
+                     lambda n, k, chain: comb(n, k),
+                     lambda n_max: {"n": n_max, "k": n_max // 2,
+                                    "chain": (gcd(n_max, n_max // 2), n_max)}),
     "mbs": Theorem(("n", "k", "b"), verify_mbs_csp, sweep_mbs,
-                   lambda n, k, b: comb(n, k)),
-    "extension": Theorem(("alpha", "delta"), verify_extension, None, _words),
+                   lambda n, k, b: comb(n, k),
+                   lambda n_max: {"n": n_max, "k": n_max // 2, "b": 0}),
+    "extension": Theorem(("alpha", "delta"), verify_extension, None, _words, None),
 }
 
 

@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csieve.actions import (CyclicAction, check_csp, check_extension_hypotheses,
-                            check_refinement, orbits, restrict_to_subgroup)
-from csieve.qpoly import ResiduePoly, q_binomial, reduce
+from csieve.actions import (CyclicAction, NotClosed, Verdict, check_csp,
+                            check_extension_hypotheses, check_refinement, orbits,
+                            restrict_to_subgroup)
+from csieve.qpoly import ResiduePoly, evaluate_at_root, orbit_gf, q_binomial, reduce
 
 
 def shift_action(n):
@@ -21,12 +23,25 @@ def subset_rotation(n, k):
 
 
 def test_successor_validation():
-    bad = CyclicAction(3, (0, 1, 2), lambda x: x + 10)
-    with pytest.raises(ValueError):
+    # the first element in carrier order whose image leaves the carrier
+    bad = CyclicAction(3, (2, 0, 1), lambda x: x + 2)
+    with pytest.raises(NotClosed) as exc:
         bad.successor()
+    assert (exc.value.element, exc.value.image) == (2, 4)
+    assert check_csp(bad, ResiduePoly.zero(3)) == Verdict(
+        False, {"check": "closure", "element": 2, "image": 4})
     collapse = CyclicAction(2, (0, 1), lambda x: 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a bijection"):
         collapse.successor()
+
+
+def test_successor_is_a_permutation_of_carrier_indices():
+    carrier = ("c", "a", "b")
+    a = CyclicAction(3, carrier, {"a": "b", "b": "c", "c": "a"}.get)
+    perm = a.successor()
+    assert perm == [1, 2, 0]
+    assert all(a.step(carrier[i]) == carrier[perm[i]] for i in range(3))
+    assert a.orbit_of("b") == ("a", "b", "c")
 
 
 def test_orbits_and_fixed_points():
@@ -52,6 +67,13 @@ def test_check_csp_subsets():
         a = subset_rotation(n, k)
         f = reduce(q_binomial(n, k), n)
         assert check_csp(a, f).holds
+
+
+def test_check_csp_fails_both_methods_on_a_shifted_polynomial():
+    # f shifted by q: method 1 and method 2 both fail, with no disagreement
+    a = subset_rotation(6, 3)
+    verdict = check_csp(a, reduce(q_binomial(6, 3), 6).shift(1))
+    assert verdict == Verdict(False, {"k": 2, "fixed_points": 2, "evaluation": "non-integer"})
 
 
 def test_check_csp_failure_witness():
@@ -91,3 +113,60 @@ def test_extension_hypotheses_detect_failure():
     f = ResiduePoly(4, (2, 0, 2, 0))
     report = check_extension_hypotheses(a, 2, f)
     assert not report.hypotheses_hold or report.full_csp.holds
+
+
+def reference_csp(carrier, step, n, f) -> Verdict:
+    """Method 1 on elements: step each element k times, evaluate f at
+    omega^k for every k."""
+    for k in range(n):
+        fixed = 0
+        for x in carrier:
+            y = x
+            for _ in range(k):
+                y = step(y)
+            fixed += y == x
+        value = evaluate_at_root(f, k)
+        if value != fixed:
+            return Verdict(False, {"k": k, "fixed_points": fixed,
+                                   "evaluation": "non-integer" if value is None else value})
+    return Verdict(True, None)
+
+
+@st.composite
+def actions_with_polynomials(draw):
+    """An order-n action given by random cycle lengths dividing n, on at
+    most 30 elements in random carrier order, with its orbit-sum f, f with
+    one coefficient moved, f shifted by q, or a random residue."""
+    n = draw(st.integers(1, 12))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    sizes = []
+    for size in draw(st.lists(st.sampled_from(divisors), max_size=12)):
+        if sum(sizes) + size <= 30:
+            sizes.append(size)
+    step, start = {}, 0
+    for size in sizes:
+        cycle = [f"x{i}" for i in range(start, start + size)]
+        step.update(zip(cycle, cycle[1:] + cycle[:1]))
+        start += size
+    carrier = tuple(draw(st.permutations(sorted(step))))
+    coeffs = [0] * n
+    for size in sizes:
+        coeffs = [c + e for c, e in zip(coeffs, orbit_gf(n, size).coeffs)]
+    kind = draw(st.sampled_from(["orbit-sum", "moved", "shifted", "random"]))
+    if kind == "moved":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        coeffs[i] -= 1
+        coeffs[j] += 1
+    elif kind == "random":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    f = ResiduePoly(n, tuple(coeffs))
+    return n, sizes, carrier, step, f.shift(1) if kind == "shifted" else f
+
+
+@settings(max_examples=300, deadline=None)
+@given(actions_with_polynomials())
+def test_check_csp_equals_the_element_level_reference(case):
+    n, sizes, carrier, step, f = case
+    a = CyclicAction(n, carrier, step.__getitem__)
+    assert sorted(orbits(a).sizes) == sorted(sizes)
+    assert check_csp(a, f) == reference_csp(carrier, step.__getitem__, n, f)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface via its main() entry."""
 
 import json
+import time
 
 import pytest
 
@@ -216,13 +217,15 @@ def test_zero_part_of_alpha_exits_2_for_every_word_theorem(capsys, name):
 
 
 def test_a_class_rotation_leaves_fails_with_a_closure_witness(capsys, monkeypatch):
-    # a step that sorts the word takes 1212 out of W((2,2), (0,2))
+    # a step that sorts the word takes 1212 out of W((2,2), (0,2)); extension
+    # builds its subgroup action from the same step
     monkeypatch.setattr(formulas, "rotation_action",
                         lambda words: CyclicAction(4, words, lambda w: tuple(sorted(w))))
-    code, out, err = run(capsys, "verify", "main", "--alpha", "2,2", "--delta", "0,2")
-    assert code == 1 and err == ""
-    assert json.loads(out)["failures"][0]["witness"] == {
-        "check": "closure", "element": [1, 2, 1, 2], "image": [1, 1, 2, 2]}
+    for name in ("main", "extension"):
+        code, out, err = run(capsys, "verify", name, "--alpha", "2,2", "--delta", "0,2")
+        assert code == 1 and err == "", name
+        assert json.loads(out)["failures"][0]["witness"] == {
+            "check": "closure", "element": [1, 2, 1, 2], "image": [1, 1, 2, 2]}
 
 
 @pytest.mark.parametrize("name", ["phi", "main"])
@@ -231,6 +234,16 @@ def test_content_sweep_over_the_cap_exits_2_before_it_starts(capsys, name):
     code, out, err = run(capsys, "verify", name, "--n-max", "30")
     assert_usage_error(code, out, err)
     assert "refusing to enumerate" in err
+
+
+@pytest.mark.parametrize("name", ["chain", "mbs"])
+def test_subset_sweep_over_the_cap_exits_2_before_it_starts(capsys, name):
+    # both sweeps enumerate the k-subsets of [0, n-1]: C(40, 20) is about 1.4e11
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", name, "--n-max", "40")
+    assert time.monotonic() - start < 1
+    assert_usage_error(code, out, err)
+    assert "refusing to enumerate 137846528820 objects" in err
 
 
 def test_default_content_sweeps_fit_the_default_cap(monkeypatch):

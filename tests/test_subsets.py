@@ -32,6 +32,22 @@ def test_interval_profile_and_rotations():
         rotate_within_intervals((0,), 6, 4)
 
 
+def test_table_rotations_equal_the_arithmetic_formula():
+    for n in range(1, 13):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for step in range(d + 1):
+                interval = [d * (x // d) + (x % d + step) % d for x in range(n)]
+                shift = [(x + step * (n // d)) % n for x in range(n)]
+                for x in range(n):
+                    assert rotate_within_intervals((x,), n, d, step) == (interval[x],)
+                    assert rotate_global((x,), n, d, step) == (shift[x],)
+                multiset = (0,) + tuple(range(n))
+                assert rotate_within_intervals(multiset, n, d, step) == tuple(
+                    sorted(interval[x] for x in multiset))
+                assert rotate_global(multiset, n, d, step) == tuple(
+                    sorted(shift[x] for x in multiset))
+
+
 def test_profile_enumerations():
     assert set(enumerate_s_alpha(4, 2, (1, 1))) == {
         (0, 2), (0, 3), (1, 2), (1, 3)}

@@ -2,7 +2,10 @@
 failure: the criterion-4 walk of each insertion tree, and the closed
 forms against enumeration."""
 
+import inspect
 import itertools
+
+import pytest
 
 from csieve import formulas, insertion, sweeps
 from csieve.insertion import insert_triple, phi
@@ -96,3 +99,21 @@ def test_sweep_flex_universal_checks_every_necklace_once():
     assert keys == [w for n in range(1, 10)
                     for w in itertools.product(range(1, sweeps.FLEX_ALPHABET + 1), repeat=n)
                     if necklace(w).representative == w]
+
+
+@pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
+                                  if theorem.largest is not None])
+def test_largest_is_the_largest_instance_of_the_sweep(name):
+    # the instance the CLI sizes a sweep by, against every instance it runs
+    theorem = sweeps.THEOREMS[name]
+    params = inspect.signature(theorem.sweep).parameters
+    for n_max in range(1, 6):
+        grid = [{"n_max": n_max}]
+        if "max_parts" in params:
+            grid += [{"n_max": n_max, "max_parts": p} for p in (1, 2, 3)]
+        for bounds in grid:
+            resolved = {b: bounds.get(b, p.default) for b, p in params.items()}
+            largest = theorem.largest(**resolved)
+            keys = [key for key, _ in theorem.sweep(**resolved)]
+            assert any(largest.items() <= key.items() for key in keys), resolved
+            assert theorem.size(**largest) == max(theorem.size(**key) for key in keys)

@@ -185,3 +185,11 @@ def test_flex_per_orbit_is_flex():
     flexes = flex_per_orbit(words)
     assert set(flexes) == set(words)
     assert all(flexes[w] == flex(w) for w in words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 5), max_size=9))
+def test_inv_counts_the_inverted_pairs(letters):
+    w = as_word(letters)
+    assert inv(w) == sum(1 for i, j in itertools.combinations(range(len(w)), 2)
+                         if w[i] > w[j])
