@@ -33,7 +33,9 @@ class Verdict:
 
 @dataclass(frozen=True)
 class OrbitDecomposition:
-    orbits: tuple[tuple, ...]     # each orbit sorted, orbits sorted by min element
+    # Each orbit in cycle order from its first element in carrier order;
+    # orbits in the carrier order of those first elements.
+    orbits: tuple[tuple, ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -61,6 +63,7 @@ class CyclicAction:
     carrier: tuple
     step: Callable
     _successor: list = field(default=None, repr=False, compare=False)
+    _orbits: OrbitDecomposition = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.carrier = tuple(self.carrier)
@@ -95,21 +98,26 @@ class CyclicAction:
 
 
 def orbits(a: CyclicAction) -> OrbitDecomposition:
-    perm = a.successor()
-    carrier = a.carrier
-    seen = bytearray(len(perm))
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        orbit = []
-        i = start
-        while not seen[i]:
-            seen[i] = 1
-            orbit.append(carrier[i])
-            i = perm[i]
-        out.append(tuple(sorted(orbit)))
-    return OrbitDecomposition(tuple(sorted(out)))
+    """The cycles of the successor permutation, unsorted: the CSP check
+    and its callers read only their sizes.  Built once per action and kept
+    on it, like the successor."""
+    if a._orbits is None:
+        perm = a.successor()
+        carrier = a.carrier
+        seen = bytearray(len(perm))
+        out = []
+        for start in range(len(perm)):
+            if seen[start]:
+                continue
+            orbit = []
+            i = start
+            while not seen[i]:
+                seen[i] = 1
+                orbit.append(carrier[i])
+                i = perm[i]
+            out.append(tuple(orbit))
+        a._orbits = OrbitDecomposition(tuple(out))
+    return a._orbits
 
 
 def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:
@@ -164,7 +172,7 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     # Method 2: congruence with the orbit generating function sum, one
     # orbit_gf per distinct orbit size.
     expected = [0] * n
-    for size, count in Counter(map(len, orbits(a).orbits)).items():
+    for size, count in Counter(orbits(a).sizes).items():
         for i, c in enumerate(orbit_gf(n, size).coeffs):
             expected[i] += count * c
     witness2 = None
@@ -208,8 +216,8 @@ def check_extension_hypotheses(a: CyclicAction, g: int, f: ResiduePoly) -> Exten
         raise ValueError("g must divide the action order")
     sub = check_csp(restrict_to_subgroup(a, g), refold(f, g))
     period_ok = has_period(f, g)
-    orbit_ok = all((a.order // len(o)) and g % (a.order // len(o)) == 0
-                   for o in orbits(a).orbits)
+    orbit_ok = all((a.order // size) and g % (a.order // size) == 0
+                   for size in orbits(a).sizes)
     full = check_csp(a, f)
     if sub.holds and period_ok and orbit_ok and not full.holds:
         raise RuntimeError("extension hypotheses hold but the full CSP fails; "

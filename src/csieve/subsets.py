@@ -90,8 +90,9 @@ def _enumerate_profile(n: int, d: int, alpha, chooser) -> Iterator[IndexTuple]:
         raise ValueError("profile needs n/d parts")
     per_interval = [list(chooser(range((j - 1) * d, j * d), alpha[j - 1]))
                     for j in range(1, n // d + 1)]
+    join = itertools.chain.from_iterable
     for pieces in itertools.product(*per_interval):
-        yield tuple(x for piece in pieces for x in piece)
+        yield tuple(join(pieces))
 
 
 def enumerate_s_alpha(n: int, d: int, alpha) -> Iterator[IndexTuple]:
@@ -104,13 +105,40 @@ def enumerate_m_alpha(n: int, d: int, alpha) -> Iterator[IndexTuple]:
     yield from _enumerate_profile(n, d, alpha, itertools.combinations_with_replacement)
 
 
+def _profiles(k: int, parts: int, unit: int, cap: int) -> Iterator[Composition]:
+    """The compositions of k into `parts` parts, each a multiple of `unit`
+    and at most `cap`, in lexicographic order."""
+    if k % unit:
+        return
+    top = cap // unit
+
+    def extend(remaining: int, left: int) -> Iterator[Composition]:
+        if left == 1:
+            yield (remaining * unit,)
+            return
+        for first in range(max(0, remaining - top * (left - 1)), min(top, remaining) + 1):
+            for rest in extend(remaining - first, left - 1):
+                yield (first * unit,) + rest
+
+    if 0 <= k <= top * unit * parts:
+        yield from extend(k // unit, parts)
+
+
 def enumerate_g_de(n: int, k: int, d: int, e: int) -> Iterator[IndexTuple]:
-    """k-subsets whose d-interval profile has gcd exactly e with d."""
+    """k-subsets whose d-interval profile has gcd exactly e with d.
+
+    Generated profile by profile: every profile with parts that are
+    multiples of e and gcd e with d yields its subsets (those of
+    `enumerate_s_alpha`), so the family comes in profile order, not in
+    lexicographic order.  At d = 1 the family is every k-subset."""
     if d < 1 or n % d or e < 1 or d % e:
         raise ValueError("need e | d | n")
-    for a in enumerate_subsets(n, k):
-        if gcd(d, *interval_profile(a, n, d)) == e:
-            yield a
+    if d == 1:
+        yield from enumerate_subsets(n, k)
+        return
+    for alpha in _profiles(k, n // d, e, d):
+        if gcd(d, *alpha) == e:
+            yield from _enumerate_profile(n, d, alpha, itertools.combinations)
 
 
 def validate_chain(n: int, k: int, chain) -> tuple[int, ...]:
@@ -127,13 +155,29 @@ def validate_chain(n: int, k: int, chain) -> tuple[int, ...]:
     return chain
 
 
+def _coarsen(alpha: Composition, factor: int) -> Composition:
+    """The profile over intervals `factor` times as long."""
+    return tuple(sum(alpha[i:i + factor]) for i in range(0, len(alpha), factor))
+
+
 def enumerate_g_chain(n: int, k: int, chain) -> Iterator[IndexTuple]:
-    """The intersection of the gcd families along a divisor chain."""
+    """The intersection of the gcd families along a divisor chain.
+
+    Generated from the profiles over the finest intervals the chain
+    names, d = chain[1], whose parts are multiples of e = chain[0]: a
+    profile is kept when, coarsened to each chain entry, it has the gcd
+    the chain asks for, and yields its subsets (those of
+    `enumerate_s_alpha`), so the family comes in profile order, not in
+    lexicographic order."""
     chain = validate_chain(n, k, chain)
-    for a in enumerate_subsets(n, k):
-        if all(gcd(big, *interval_profile(a, n, big)) == small
-               for small, big in zip(chain, chain[1:])):
-            yield a
+    # the condition gcd(1, profile) == 1 holds for every subset
+    while len(chain) > 2 and chain[1] == 1:
+        chain = chain[1:]
+    e, d = chain[0], chain[1]
+    pairs = list(zip(chain, chain[1:]))
+    for alpha in _profiles(k, n // d, e, d):
+        if all(gcd(big, *_coarsen(alpha, big // d)) == small for small, big in pairs):
+            yield from _enumerate_profile(n, d, alpha, itertools.combinations)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +213,10 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     """(G_D, interval C_d, Sum') is a CSP refining the full k-subset CSP,
     where d is the second chain entry and e the first.  Also checks the
     supporting facts: closure of G_D under the action, d/|orbit| dividing
-    e, and Sum' having period e modulo d."""
+    e, and Sum' having period e modulo d.  The family comes in profile
+    order; no verdict depends on it except the closure witness, which
+    names the first element in that order and appears only for a family
+    that is not closed."""
     chain = validate_chain(n, k, chain)
     e, d = chain[0], chain[1]
     carrier = tuple(enumerate_g_chain(n, k, chain))
@@ -178,18 +225,28 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     verdict = check_csp(action, f)    # fails with a closure witness if G_D is not closed
     if not verdict.holds:
         return verdict
-    for orbit in orbits(action).orbits:
-        if e % (d // len(orbit)):
-            return Verdict(False, {"check": "orbit-divisibility",
-                                   "orbit_size": len(orbit)})
+    for size in orbits(action).sizes:     # the decomposition check_csp made
+        if e % (d // size):
+            return Verdict(False, {"check": "orbit-divisibility", "orbit_size": size})
     if not has_period(f, e):
         return Verdict(False, {"check": "period-e-mod-d", "e": e, "d": d})
     return verdict
 
 
+def _check_universe(n: int, d: int, k: int) -> None:
+    """Reject an instance outside the theorems' range before checking it."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if d < 1 or n % d:
+        raise ValueError("d must divide n")
+    if k < 0:
+        raise ValueError("k must be non-negative")
+
+
 def verify_g_dd_trivial(n: int, k: int, d: int) -> Verdict:
     """The interval action fixes every member of G_{d,d}, whose Sum' values
     all vanish mod d, making the generating function a constant."""
+    _check_universe(n, d, k)
     carrier = tuple(enumerate_g_de(n, k, d, d))
     for a in carrier:
         if rotate_within_intervals(a, n, d) != a:
@@ -208,6 +265,7 @@ def orbit_size_multiset(action: CyclicAction) -> tuple[int, ...]:
 def verify_isomorphic_actions(n: int, d: int, k: int) -> Verdict:
     """The interval rotation and the order-d global rotation have the same
     orbit structure on both k-subsets and k-multisubsets."""
+    _check_universe(n, d, k)
     for enum in (enumerate_subsets, enumerate_multisubsets):
         carrier = tuple(enum(n, k))
         if (orbit_size_multiset(interval_action(n, d, carrier))

@@ -331,6 +331,14 @@ THEOREMS: dict[str, Theorem] = {
                      lambda n, k, chain: comb(n, k),
                      lambda n_max: {"n": n_max, "k": n_max // 2,
                                     "chain": (gcd(n_max, n_max // 2), n_max)}),
+    # G_{1,1} is every k-subset; the multisubsets outnumber the subsets.
+    "g-dd": Theorem(("n", "k", "d"), verify_g_dd_trivial, sweep_g_dd,
+                    lambda n, k, d: comb(n, k),
+                    lambda n_max: {"n": n_max, "k": n_max // 2, "d": 1}),
+    "action-isomorphism": Theorem(
+        ("n", "d", "k"), verify_isomorphic_actions, sweep_action_isomorphism,
+        lambda n, d, k: multichoose(n, k),
+        lambda n_max: {"n": n_max, "d": 1, "k": min(K_MAX, n_max)}),
     "mbs": Theorem(("n", "k", "b"), verify_mbs_csp, sweep_mbs,
                    lambda n, k, b: comb(n, k),
                    lambda n_max: {"n": n_max, "k": n_max // 2, "b": 0}),

@@ -163,6 +163,31 @@ def actions_with_polynomials(draw):
     return n, sizes, carrier, step, f.shift(1) if kind == "shifted" else f
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 99), unique=True, max_size=30).flatmap(
+    lambda carrier: st.tuples(st.just(carrier), st.permutations(carrier))))
+def test_orbits_are_the_cycles_of_the_successor(case):
+    carrier, images = case
+    step = dict(zip(carrier, images))
+    a = CyclicAction(1, carrier, step.__getitem__)
+    perm = a.successor()
+    cycles = set()
+    for start in range(len(perm)):
+        cycle, i = {start}, perm[start]
+        while i != start:
+            cycle.add(i)
+            i = perm[i]
+        cycles.add(frozenset(cycle))
+    dec = orbits(a)
+    assert sorted(dec.sizes) == sorted(map(len, cycles))
+    # a partition of the carrier, each orbit listed in cycle order
+    index = {x: i for i, x in enumerate(carrier)}
+    assert {frozenset(map(index.get, orbit)) for orbit in dec.orbits} == cycles
+    assert sum(dec.sizes) == len(carrier)
+    for orbit in dec.orbits:
+        assert all(step[x] == y for x, y in zip(orbit, orbit[1:] + orbit[:1]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(actions_with_polynomials())
 def test_check_csp_equals_the_element_level_reference(case):

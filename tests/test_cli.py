@@ -188,8 +188,17 @@ def test_verify_mbs_n_zero_exits_2(capsys):
     ["flex-universal", "--n-max", "3", "--max-parts", "2"],
     # 60!/(30! 30!) words, over the default cap
     ["main", "--alpha", "30,30", "--delta", "0,5"],
+    # an empty universe, d not dividing n, a negative k
+    ["g-dd", "--n", "0", "--k", "0", "--d", "1"],
+    ["g-dd", "--n", "6", "--k", "2", "--d", "4"],
+    ["g-dd", "--n", "6", "--k", "-1", "--d", "3"],
+    ["action-isomorphism", "--n", "0", "--d", "1", "--k", "0"],
+    ["action-isomorphism", "--n", "6", "--d", "0", "--k", "2"],
+    ["action-isomorphism", "--n", "6", "--d", "3", "--k", "-2"],
 ], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
-        "main-n", "flex-universal-max-parts", "main-over-cap"])
+        "main-n", "flex-universal-max-parts", "main-over-cap", "g-dd-n0", "g-dd-d4",
+        "g-dd-k-negative", "action-isomorphism-n0", "action-isomorphism-d0",
+        "action-isomorphism-k-negative"])
 def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 
@@ -283,6 +292,8 @@ EXAMPLES = {
     "multisubset": {"n": "4", "d": "2", "alpha": "1,2"},
     "subset-star": {"n": "6", "d": "3", "alpha": "1,2"},
     "chain": {"n": "4", "k": "2", "chain": "1,2,4"},
+    "g-dd": {"n": "6", "k": "2", "d": "3"},
+    "action-isomorphism": {"n": "6", "d": "3", "k": "2"},
     "mbs": {"n": "5", "k": "3", "b": "2"},
     "extension": {"alpha": "4,2,3", "delta": "0,2,1"},
 }

@@ -1,8 +1,12 @@
 """Subset and multisubset families under interval rotations."""
 
+import itertools
+from math import gcd
+
 import pytest
 
 from csieve import subsets
+from csieve.actions import OrbitDecomposition
 from csieve.qpoly import ResiduePoly, evaluate_at_root
 from csieve.subsets import (block_maxima_count, enumerate_g_chain,
                             enumerate_g_de, enumerate_m_alpha,
@@ -14,6 +18,7 @@ from csieve.subsets import (block_maxima_count, enumerate_g_chain,
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
+from csieve.sweeps import divisor_chains
 
 
 def test_statistics():
@@ -74,6 +79,34 @@ def test_chain_family_and_gf():
     assert folded == ResiduePoly(2, (2, 2))
 
 
+def test_gcd_families_are_the_filter_definition():
+    # generated from profiles; the definition filters every k-subset
+    for n in range(1, 13):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for k in range(n + 1):
+            every = list(itertools.combinations(range(n), k))
+            for d in divisors:
+                for e in (e for e in divisors if d % e == 0):
+                    family = list(enumerate_g_de(n, k, d, e))
+                    assert len(family) == len(set(family))
+                    assert sorted(family) == [
+                        a for a in every if gcd(d, *interval_profile(a, n, d)) == e]
+            for chain in divisor_chains(n, k):
+                family = list(enumerate_g_chain(n, k, chain))
+                assert len(family) == len(set(family))
+                assert sorted(family) == [
+                    a for a in every
+                    if all(gcd(big, *interval_profile(a, n, big)) == small
+                           for small, big in zip(chain, chain[1:]))]
+
+
+def test_chain_family_skips_trivial_unit_entries():
+    # gcd(1, profile) == 1 always: a repeated 1 leaves the family unchanged
+    assert list(enumerate_g_chain(6, 3, (1, 1, 3, 6))) == list(
+        enumerate_g_chain(6, 3, (1, 3, 6)))
+    assert list(enumerate_g_chain(1, 1, (1, 1))) == [(0,)]
+
+
 def test_validate_chain_errors():
     with pytest.raises(ValueError):
         validate_chain(4, 2, (2,))           # too short
@@ -99,6 +132,16 @@ def test_chain_refinement_rejects_a_family_not_closed(monkeypatch):
     verdict = verify_chain_refinement(4, 2, (1, 2, 4))
     assert verdict.holds is False
     assert verdict.witness == {"check": "closure", "element": (0, 2), "image": (1, 3)}
+
+
+def test_chain_refinement_witnesses_an_orbit_size_not_dividing_e(monkeypatch):
+    # (1, 2, 4) at k = 2 has e = 1 and d = 2: an orbit of size 1 would
+    # need d / 1 = 2 to divide e
+    monkeypatch.setattr(subsets, "orbits",
+                        lambda action: OrbitDecomposition(((action.carrier[0],),)))
+    verdict = verify_chain_refinement(4, 2, (1, 2, 4))
+    assert verdict.holds is False
+    assert verdict.witness == {"check": "orbit-divisibility", "orbit_size": 1}
 
 
 def test_shift_bijection_raises_sum_prime_by_e():
