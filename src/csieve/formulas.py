@@ -17,7 +17,7 @@ from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
-                    inv, is_strong, maj, necklace as necklace_of, pad_to, rotate)
+                    inv, is_strong, maj, necklace as necklace_of, pad_to)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -158,12 +158,14 @@ def tilde_maj_gf_alternative(alpha, delta) -> tuple[int, IntPoly]:
 
 def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
     """Sum of q^maj over all of W_{alpha,delta}, as a residue mod q^n - 1:
-    (d/alpha_1) (q^n-1)/(q^d-1) times the tilde generating function."""
+    (d/alpha_1) (q^n-1)/(q^d-1) times the tilde generating function.  As
+    (q^n-1)/(q^d-1) = sum_{i<n/d} q^(id), multiplying by it mod q^n - 1
+    folds the tilde function mod q^d - 1 and tiles the fold n/d times."""
     p = params(alpha, delta)
-    product = orbit_gf(p.n, p.n // p.d) * reduce(tilde_maj_gf(alpha, delta), p.n) * p.d
-    if any(c % p.alpha[0] for c in product.coeffs):
+    folded = [c * p.d for c in reduce(tilde_maj_gf(alpha, delta), p.d).coeffs]
+    if any(c % p.alpha[0] for c in folded):
         raise RuntimeError("maj formula coefficients not divisible by alpha_1")
-    return ResiduePoly(p.n, tuple(c // p.alpha[0] for c in product.coeffs))
+    return ResiduePoly(p.n, tuple(c // p.alpha[0] for c in folded) * (p.n // p.d))
 
 
 def feasible_deltas(alpha) -> Iterator[Composition]:
@@ -205,7 +207,7 @@ def rotation_action(carrier) -> CyclicAction:
     carrier = tuple(carrier)
     if not carrier:
         raise ValueError("rotation action needs a non-empty carrier")
-    return CyclicAction(len(carrier[0]), carrier, lambda w: rotate(w, 1))
+    return CyclicAction(len(carrier[0]), carrier, lambda w: w[-1:] + w[:-1])
 
 
 def _word_class(p: InstanceParams, words):

@@ -343,7 +343,9 @@ def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
 
 def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
     if n < 1:
-        raise ValueError("mbs needs n >= 1")
+        raise ValueError("n must be positive")
+    if k < 0 or b < 0:
+        raise ValueError("k and b must be non-negative")
     carrier = tuple(enumerate_s_kb(n, k, b))
     if not carrier:
         return Verdict(True, None)

@@ -6,6 +6,7 @@ positions.  Compositions are plain tuples of non-negative integers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -78,47 +79,71 @@ def cyclic_descent_set(w) -> set[int]:
 
 
 def des(w) -> int:
-    return len(descent_set(w))
+    """Number of descents, counted in one pass over the letters."""
+    count = 0
+    prev = w[0] if w else 0
+    for x in w:
+        if prev > x:
+            count += 1
+        prev = x
+    return count
 
 
 def cdes(w) -> int:
-    return len(cyclic_descent_set(w))
+    """Number of cyclic descents: the descents, plus one when w_n > w_1."""
+    return des(w) + (w[-1] > w[0]) if w else 0
 
 
 def maj(w) -> int:
-    """Major index: sum of descent positions."""
-    return sum(descent_set(w))
+    """Major index: the sum of the descent positions, added up in one pass
+    over the letters (x at 0-based index i closes the descent at 1-based
+    position i when the letter before it is larger)."""
+    total = 0
+    i = 0
+    prev = w[0] if w else 0
+    for x in w:
+        if prev > x:
+            total += i
+        prev = x
+        i += 1
+    return total
 
 
 def inv(w) -> int:
-    """Number of inverted pairs i < j with w_i > w_j: each letter is
-    inverted with the larger letters before it, read from a running count
-    of each letter seen so far (O(n * letters))."""
-    w = tuple(w)
-    seen = [0] * (max(w, default=0) + 1)
+    """Number of inverted pairs i < j with w_i > w_j, counted pair by pair
+    (O(n^2) comparisons, with no per-letter slice or tally)."""
     total = 0
-    for x in w:
-        total += sum(seen[x + 1:])
-        seen[x] += 1
+    for a, b in itertools.combinations(w, 2):
+        if a > b:
+            total += 1
     return total
 
 
 def cdt(w) -> Composition:
     """Cyclic descent type: new cyclic descents at each step of the
     letter-by-letter filtration.  Length equals the maximum letter; the
-    first entry is always 0."""
+    first entry is always 0.  Level l makes one scan of w over its letters
+    <= l, counting the falls between consecutive such letters and the
+    wrap from the last one to the first; 0 marks "none seen yet", as
+    letters are >= 1."""
     w = tuple(w)
     if not w:
         return ()
-    m = max(w)
     out = []
     prev = 0
-    for level in range(1, m + 1):
-        sub = [x for x in w if x <= level] if level < m else list(w)
-        ln = len(sub)
-        c = sum(1 for i in range(ln) if sub[i] > sub[(i + 1) % ln]) if ln else 0
-        out.append(c - prev)
-        prev = c
+    for level in range(1, max(w) + 1):
+        falls = first = last = 0
+        for x in w:
+            if x <= level:
+                if not last:
+                    first = x
+                elif last > x:
+                    falls += 1
+                last = x
+        if last > first:
+            falls += 1
+        out.append(falls - prev)
+        prev = falls
     return tuple(out)
 
 
@@ -147,7 +172,7 @@ def necklace(w: Iterable[int]) -> Necklace:
     w = tuple(w)
     if not w:
         raise ValueError("necklace of the empty word is undefined")
-    members = tuple(sorted({rotate(w, s) for s in range(len(w))}))
+    members = tuple(sorted({w[s:] + w[:s] for s in range(len(w))}))
     p = len(members)
     return Necklace(members[0], members, p, len(w) // p)
 

@@ -195,10 +195,13 @@ def test_verify_mbs_n_zero_exits_2(capsys):
     ["action-isomorphism", "--n", "0", "--d", "1", "--k", "0"],
     ["action-isomorphism", "--n", "6", "--d", "0", "--k", "2"],
     ["action-isomorphism", "--n", "6", "--d", "3", "--k", "-2"],
+    # a negative block count or size
+    ["mbs", "--n", "4", "--k", "2", "--b", "-1"],
+    ["mbs", "--n", "4", "--k", "-1", "--b", "0"],
 ], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
         "main-n", "flex-universal-max-parts", "main-over-cap", "g-dd-n0", "g-dd-d4",
         "g-dd-k-negative", "action-isomorphism-n0", "action-isomorphism-d0",
-        "action-isomorphism-k-negative"])
+        "action-isomorphism-k-negative", "mbs-b-negative", "mbs-k-negative"])
 def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 

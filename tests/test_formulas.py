@@ -1,7 +1,10 @@
 """Closed forms for counts and maj generating functions against brute force."""
 
+import itertools
+
 import pytest
 
+from csieve import formulas
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas, flatten,
                              is_nonempty, macmahon_check, maj_gf_mod_n, params,
                              period_g_check, tilde_maj_gf,
@@ -9,8 +12,8 @@ from csieve.formulas import (count_w_alpha_delta, feasible_deltas, flatten,
                              verify_flex_maj_equidistribution,
                              verify_flex_universal, verify_formula_vs_oracle,
                              verify_main_theorem)
-from csieve.qpoly import ResiduePoly, monomial, poly_mul, reduce
-from csieve.words import cdt_groups, maj
+from csieve.qpoly import ResiduePoly, monomial, orbit_gf, poly_mul, reduce
+from csieve.words import cdt_groups, maj, strong_compositions
 
 
 def test_params_derived_quantities():
@@ -129,6 +132,37 @@ def test_maj_gf_division_is_exact():
     # division would be a hard fault rather than a wrong answer
     for alpha, delta in [((4, 2, 3), (0, 2, 1)), ((3, 3), (0, 3))]:
         maj_gf_mod_n(alpha, delta)     # must not raise
+
+
+def maj_gf_mod_n_by_product(alpha, delta):
+    """The closed form as written: (q^n-1)/(q^d-1) times the tilde
+    function mod q^n - 1, times d, divided by alpha_1."""
+    p = params(alpha, delta)
+    product = orbit_gf(p.n, p.n // p.d) * reduce(tilde_maj_gf(alpha, delta), p.n) * p.d
+    assert not any(c % p.alpha[0] for c in product.coeffs)
+    return ResiduePoly(p.n, tuple(c // p.alpha[0] for c in product.coeffs))
+
+
+def test_maj_gf_mod_n_fold_equals_the_product_form():
+    # every strong content with n <= 8 and every delta of its box, the
+    # empty classes (zero residue) included
+    boxes = empty = 0
+    for n in range(1, 9):
+        for parts in range(1, n + 1):
+            for alpha in strong_compositions(n, parts):
+                for delta in itertools.product([0], *(range(a + 1) for a in alpha[1:])):
+                    gf = maj_gf_mod_n(alpha, delta)
+                    assert gf == maj_gf_mod_n_by_product(alpha, delta), (alpha, delta)
+                    boxes += 1
+                    empty += not any(gf.coeffs)
+    assert boxes > empty > 0
+
+
+def test_maj_gf_mod_n_raises_on_an_inexact_division(monkeypatch):
+    # a tilde function of 1 leaves d * 1 = 3 to divide by alpha_1 = 2
+    monkeypatch.setattr(formulas, "tilde_maj_gf", lambda alpha, delta: (1,))
+    with pytest.raises(RuntimeError, match="not divisible by alpha_1"):
+        maj_gf_mod_n((2, 1), (0, 0))
 
 
 def test_params_validation():

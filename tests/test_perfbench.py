@@ -1,7 +1,11 @@
-"""The benchmark's tracer names csieve functions by module and attribute;
-a function moved or deleted without it would crash the traced run."""
+"""The benchmark names csieve functions by module and attribute: its
+tracer wraps them and its workloads call sweeps by name.  A function or
+parameter renamed without it would crash the benchmark run."""
 
+import inspect
 from pathlib import Path
+
+from csieve import sweeps
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -11,3 +15,13 @@ def test_every_traced_function_resolves(monkeypatch):
     import tracing
     for name, owner, attribute, _ in tracing._targets():
         assert callable(getattr(owner, attribute, None)), name
+
+
+def test_every_workload_sweep_resolves_and_binds_its_arguments(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    for workload, spec in workloads.WORKLOADS.items():
+        for name, args in spec.sweeps:
+            sweep = getattr(sweeps, f"sweep_{name}", None)
+            assert callable(sweep), (workload, name)
+            inspect.signature(sweep).bind(*args)

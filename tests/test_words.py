@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csieve.formulas import rotation_action
 from csieve.words import (as_word, cdes, cdt, cdt_groups, content, cyclic_descent_set,
                           des, descent_set, enumerate_by_content, flex, flex_per_orbit,
                           freq, inv, lex, maj, necklace, necklaces, pad_to, period, rotate,
@@ -187,9 +188,45 @@ def test_flex_per_orbit_is_flex():
     assert all(flexes[w] == flex(w) for w in words)
 
 
+# Words of length <= 10 over the letters 1..5, any of them possibly absent.
+short_words = st.lists(st.integers(1, 5), max_size=10).map(tuple)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 5), max_size=9))
-def test_inv_counts_the_inverted_pairs(letters):
-    w = as_word(letters)
+@given(short_words)
+def test_inv_counts_the_inverted_pairs(w):
     assert inv(w) == sum(1 for i, j in itertools.combinations(range(len(w)), 2)
                          if w[i] > w[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_words)
+def test_descent_counts_agree_with_the_descent_sets(w):
+    assert maj(w) == sum(descent_set(w))
+    assert des(w) == len(descent_set(w))
+    assert cdes(w) == len(cyclic_descent_set(w))
+
+
+def cdt_by_filtration(w):
+    """The definition: for each level, the subword of the letters <= level
+    and its cyclic falls; entry l is the number of falls level l adds."""
+    out, prev = [], 0
+    for level in range(1, max(w, default=0) + 1):
+        sub = [x for x in w if x <= level]
+        falls = sum(1 for i in range(len(sub)) if sub[i] > sub[(i + 1) % len(sub)])
+        out.append(falls - prev)
+        prev = falls
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_words)
+def test_cdt_is_the_filtration_definition(w):
+    assert cdt(w) == cdt_by_filtration(w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(short_words.filter(bool))
+def test_necklace_and_the_rotation_step_agree_with_rotate(w):
+    assert necklace(w).members == tuple(sorted({rotate(w, s) for s in range(len(w))}))
+    assert rotation_action([w]).step(w) == rotate(w, 1)
