@@ -13,7 +13,6 @@ so method 1 evaluates f once per order.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 from operator import eq
@@ -55,6 +54,11 @@ class NotClosed(ValueError):
                                "image": self.image})
 
 
+class NotBijective(ValueError):
+    """A step maps two elements of the carrier to the same image: a fault
+    of the action's construction, not a verdict on the carrier."""
+
+
 @dataclass
 class CyclicAction:
     """An order-n action on a finite indexed set, given by its generator."""
@@ -71,18 +75,21 @@ class CyclicAction:
     def successor(self) -> list[int]:
         """The generator as a permutation of carrier indices:
         step(carrier[i]) == carrier[perm[i]].  The one place where `step`
-        is applied: raises NotClosed for the first element whose image
-        leaves the carrier, and ValueError for a step that is not a
-        bijection of the carrier."""
+        is applied, once per element and in one pass over the carrier:
+        raises NotClosed for the first element in carrier order whose
+        image leaves the carrier, and NotBijective (a ValueError) for a
+        step that is not a bijection of the carrier.  Callers that need
+        to know whether an element is fixed read perm[i] == i."""
         if self._successor is None:
-            index = {x: i for i, x in enumerate(self.carrier)}
-            images = list(map(self.step, self.carrier))
+            carrier = self.carrier
+            index = dict(zip(carrier, range(len(carrier))))
+            images = list(map(self.step, carrier))
             perm = list(map(index.get, images))
             if None in perm:
                 i = perm.index(None)
-                raise NotClosed(self.carrier[i], images[i])
+                raise NotClosed(carrier[i], images[i])
             if len(set(perm)) != len(perm):
-                raise ValueError("step is not a bijection of the carrier")
+                raise NotBijective("step is not a bijection of the carrier")
             self._successor = perm
         return self._successor
 
@@ -171,8 +178,11 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
 
     # Method 2: congruence with the orbit generating function sum, one
     # orbit_gf per distinct orbit size.
+    counts = {}
+    for size in orbits(a).sizes:
+        counts[size] = counts.get(size, 0) + 1
     expected = [0] * n
-    for size, count in Counter(orbits(a).sizes).items():
+    for size, count in counts.items():
         for i, c in enumerate(orbit_gf(n, size).coeffs):
             expected[i] += count * c
     witness2 = None

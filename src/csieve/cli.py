@@ -3,7 +3,8 @@ theorem-verification sweeps with machine-readable output.
 
 Exit codes: 0 all checks hold, 1 a verification failed (witness in the
 output), 2 usage or validation error, 3 internal fault (any other
-exception), each error with one line on stderr.
+exception, and an action whose step is not a bijection), each error with
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 
 from . import formulas, sweeps
+from .actions import NotBijective
 from .qpoly import poly_text, q_multinomial, reduce
 from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set, des,
                     descent_set, enumerate_by_content, flex, freq, inv, lex, maj, pad_to,
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except NotBijective as exc:     # a ValueError, but raised by a faulty action
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -240,8 +240,10 @@ def refold(f: ResiduePoly, g: int) -> ResiduePoly:
     return reduce(f.coeffs, g)
 
 
+@lru_cache(maxsize=None)
 def orbit_gf(n: int, orbit_size: int) -> ResiduePoly:
-    """(q^n - 1)/(q^(n/d) - 1) = sum_{i<d} q^(i n/d), for d | n."""
+    """(q^n - 1)/(q^(n/d) - 1) = sum_{i<d} q^(i n/d), for d | n.  Cached:
+    at most one residue per divisor d of each modulus n."""
     if orbit_size < 1 or n % orbit_size:
         raise ValueError("orbit size must divide n")
     step = n // orbit_size

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, gcd
+from operator import eq
 from typing import Iterator
 
-from .actions import CyclicAction, Verdict, check_csp, orbits
+from .actions import CyclicAction, NotClosed, Verdict, check_csp, orbits
 from .formulas import brute_gf
 from .qpoly import has_period
 from .words import Composition
@@ -33,10 +34,14 @@ def sum_star(a, alpha) -> int:
     return sum(a) - sum(comb(x, 2) for x in alpha)
 
 
-def interval_profile(a, n: int, d: int) -> Composition:
-    """Part j counts elements (with multiplicity) in the j-th d-interval."""
+def _check_divides(n: int, d: int) -> None:
     if d < 1 or n % d:
         raise ValueError("d must divide n")
+
+
+def interval_profile(a, n: int, d: int) -> Composition:
+    """Part j counts elements (with multiplicity) in the j-th d-interval."""
+    _check_divides(n, d)
     parts = [0] * (n // d)
     for x in a:
         parts[x // d] += 1
@@ -56,19 +61,28 @@ def _global_table(n: int, d: int, step: int) -> IndexTuple:
     return tuple((x + step * (n // d)) % n for x in range(n))
 
 
+def _table_step(table: IndexTuple):
+    """The (multi)subset step of a universe permutation: map every element
+    through the table and sort the image."""
+    image = table.__getitem__
+
+    def step(a) -> IndexTuple:
+        return tuple(sorted(map(image, a)))
+
+    return step
+
+
 def rotate_within_intervals(a, n: int, d: int, step: int = 1) -> IndexTuple:
     """The interval action: every d-interval rotates forward simultaneously."""
-    if d < 1 or n % d:
-        raise ValueError("d must divide n")
-    return tuple(sorted(map(_interval_table(n, d, step).__getitem__, a)))
+    _check_divides(n, d)
+    return _table_step(_interval_table(n, d, step))(a)
 
 
 def rotate_global(a, n: int, d: int, step: int = 1) -> IndexTuple:
     """The subgroup action: the order-d subgroup of the full rotation,
     adding n/d to every element mod n."""
-    if d < 1 or n % d:
-        raise ValueError("d must divide n")
-    return tuple(sorted(map(_global_table(n, d, step).__getitem__, a)))
+    _check_divides(n, d)
+    return _table_step(_global_table(n, d, step))(a)
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +98,7 @@ def enumerate_multisubsets(n: int, k: int) -> Iterator[IndexTuple]:
 
 def _enumerate_profile(n: int, d: int, alpha, chooser) -> Iterator[IndexTuple]:
     alpha = tuple(alpha)
-    if d < 1 or n % d:
-        raise ValueError("d must divide n")
+    _check_divides(n, d)
     if len(alpha) != n // d:
         raise ValueError("profile needs n/d parts")
     per_interval = [list(chooser(range((j - 1) * d, j * d), alpha[j - 1]))
@@ -184,11 +197,19 @@ def enumerate_g_chain(n: int, k: int, chain) -> Iterator[IndexTuple]:
 # CSP verifiers
 
 def interval_action(n: int, d: int, carrier) -> CyclicAction:
-    return CyclicAction(d, carrier, lambda a: rotate_within_intervals(a, n, d))
+    """`rotate_within_intervals` as an order-d action on a carrier of
+    subsets or multisubsets of [0, n-1].  d | n is checked and the table
+    of the universe permutation bound once, here; each step then only maps
+    an element through the table and sorts the image."""
+    _check_divides(n, d)
+    return CyclicAction(d, carrier, _table_step(_interval_table(n, d, 1)))
 
 
 def global_action(n: int, d: int, carrier) -> CyclicAction:
-    return CyclicAction(d, carrier, lambda a: rotate_global(a, n, d))
+    """`rotate_global` as an order-d action, its table bound once like
+    `interval_action`'s."""
+    _check_divides(n, d)
+    return CyclicAction(d, carrier, _table_step(_global_table(n, d, 1)))
 
 
 def verify_multisubset_refinement(n: int, d: int, alpha) -> Verdict:
@@ -237,25 +258,33 @@ def _check_universe(n: int, d: int, k: int) -> None:
     """Reject an instance outside the theorems' range before checking it."""
     if n < 1:
         raise ValueError("n must be positive")
-    if d < 1 or n % d:
-        raise ValueError("d must divide n")
+    _check_divides(n, d)
     if k < 0:
         raise ValueError("k must be non-negative")
 
 
 def verify_g_dd_trivial(n: int, k: int, d: int) -> Verdict:
     """The interval action fixes every member of G_{d,d}, whose Sum' values
-    all vanish mod d, making the generating function a constant."""
+    all vanish mod d, making the generating function a constant.  The
+    action is built once: a member is fixed when the successor maps its
+    index to itself, and the same action goes on to the CSP check.  A
+    witness names the first failing member in carrier order; only when
+    the step leaves the carrier are the members stepped again to find it."""
     _check_universe(n, d, k)
     carrier = tuple(enumerate_g_de(n, k, d, d))
-    for a in carrier:
-        if rotate_within_intervals(a, n, d) != a:
+    if not carrier:
+        return Verdict(True, None)
+    action = interval_action(n, d, carrier)
+    try:
+        fixed = list(map(eq, action.successor(), range(len(carrier))))
+    except NotClosed:
+        fixed = [action.step(a) == a for a in carrier]
+    for a, is_fixed in zip(carrier, fixed):
+        if not is_fixed:
             return Verdict(False, {"check": "not-fixed", "subset": a})
         if sum_prime(a) % d:
             return Verdict(False, {"check": "sum-prime-mod-d", "subset": a})
-    if not carrier:
-        return Verdict(True, None)
-    return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum_prime))
+    return check_csp(action, brute_gf(carrier, d, sum_prime))
 
 
 def orbit_size_multiset(action: CyclicAction) -> tuple[int, ...]:
@@ -321,23 +350,34 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # block maxima on cyclic subsets
 
+def _block_maxima(a: IndexTuple, n: int) -> list[int]:
+    """The block maxima of a sorted tuple of distinct elements of Z/n:
+    each element whose cyclic neighbour (the next element, the first for
+    the last) is not its successor mod n."""
+    return [x for x, y in zip(a, a[1:] + a[:1]) if (x + 1) % n != y]
+
+
 def mbs(delta, n: int) -> int:
     """Sum of the block maxima of a subset of Z/n, stored 0-based but
     scored with elements named 1..n: element a contributes a+1 when a+1
     (mod n) is absent."""
-    s = set(delta)
-    return sum(a + 1 for a in s if (a + 1) % n not in s)
+    return _sorted_mbs(tuple(sorted(set(delta))), n)
+
+
+def _sorted_mbs(a: IndexTuple, n: int) -> int:
+    """`mbs` of a sorted tuple of distinct elements."""
+    maxima = _block_maxima(a, n)
+    return sum(maxima) + len(maxima)
 
 
 def block_maxima_count(delta, n: int) -> int:
-    s = set(delta)
-    return sum(1 for a in s if (a + 1) % n not in s)
+    return len(_block_maxima(tuple(sorted(set(delta))), n))
 
 
 def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
     """Size-k subsets of Z/n (0-based) with exactly b cyclic blocks."""
     for a in enumerate_subsets(n, k):
-        if block_maxima_count(a, n) == b:
+        if len(_block_maxima(a, n)) == b:
             yield a
 
 
@@ -349,7 +389,8 @@ def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
     carrier = tuple(enumerate_s_kb(n, k, b))
     if not carrier:
         return Verdict(True, None)
-    return check_csp(global_action(n, n, carrier), brute_gf(carrier, n, lambda a: mbs(a, n)))
+    return check_csp(global_action(n, n, carrier),
+                     brute_gf(carrier, n, lambda a: _sorted_mbs(a, n)))
 
 
 def subset_from_two_letter_word(w) -> IndexTuple:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -37,18 +38,15 @@ def pad_to(alpha: Iterable[int], length: int) -> Composition:
 
 
 def strong_compositions(n: int, parts: int) -> Iterator[Composition]:
-    """All strong compositions of n into exactly `parts` positive parts."""
-    if parts == 0:
-        if n == 0:
+    """All strong compositions of n into exactly `parts` positive parts, in
+    lexicographic order: the gaps between 0, parts - 1 cut points chosen
+    from 1..n-1, and n."""
+    if n < parts or parts == 0:
+        if n == parts == 0:
             yield ()
         return
-    if parts == 1:
-        if n >= 1:
-            yield (n,)
-        return
-    for first in range(1, n - parts + 2):
-        for rest in strong_compositions(n - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, n), parts - 1):
+        yield tuple(map(sub, cuts + (n,), (0,) + cuts))
 
 
 # ---------------------------------------------------------------------------

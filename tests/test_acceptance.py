@@ -132,7 +132,8 @@ def test_criterion_7_subset_suite():
              drain(sweeps.sweep_subset_star(10)),
              drain(sweeps.sweep_chains(12)),
              drain(sweeps.sweep_g_dd(12)),
-             drain(sweeps.sweep_action_isomorphism(12))]
+             drain(sweeps.sweep_action_isomorphism(12)),
+             drain(sweeps.sweep_mbs(8))]
     merged = {
         "holds": all(p["holds"] for p in parts),
         "instances_checked": sum(p["instances_checked"] for p in parts),

@@ -5,9 +5,11 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csieve import subsets
 from csieve.actions import (CyclicAction, NotClosed, Verdict, check_csp,
                             check_extension_hypotheses, check_refinement, orbits,
                             restrict_to_subgroup)
+from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root, orbit_gf, q_binomial, reduce
 
 
@@ -132,11 +134,32 @@ def reference_csp(carrier, step, n, f) -> Verdict:
     return Verdict(True, None)
 
 
+def draw_polynomial(draw, n, sizes, extra=()):
+    """The orbit-sum f of the orbit sizes, f with one coefficient moved, f
+    shifted by q, a random residue, or a polynomial of `extra`, a mapping
+    from further kinds to their polynomials."""
+    coeffs = [0] * n
+    for size in sizes:
+        coeffs = [c + e for c, e in zip(coeffs, orbit_gf(n, size).coeffs)]
+    kind = draw(st.sampled_from(["orbit-sum", "moved", "shifted", "random", *extra]))
+    if kind in extra:
+        return extra[kind]
+    if kind == "moved":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        coeffs[i] -= 1
+        coeffs[j] += 1
+    elif kind == "random":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    f = ResiduePoly(n, tuple(coeffs))
+    return f.shift(1) if kind == "shifted" else f
+
+
 @st.composite
 def actions_with_polynomials(draw):
     """An order-n action given by random cycle lengths dividing n, on at
-    most 30 elements in random carrier order, with its orbit-sum f, f with
-    one coefficient moved, f shifted by q, or a random residue."""
+    most 30 elements in random carrier order, with a polynomial of
+    `draw_polynomial`; returns the action, its orbit sizes, the step as
+    the reference applies it, and the polynomial."""
     n = draw(st.integers(1, 12))
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     sizes = []
@@ -149,18 +172,38 @@ def actions_with_polynomials(draw):
         step.update(zip(cycle, cycle[1:] + cycle[:1]))
         start += size
     carrier = tuple(draw(st.permutations(sorted(step))))
-    coeffs = [0] * n
-    for size in sizes:
-        coeffs = [c + e for c, e in zip(coeffs, orbit_gf(n, size).coeffs)]
-    kind = draw(st.sampled_from(["orbit-sum", "moved", "shifted", "random"]))
-    if kind == "moved":
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        coeffs[i] -= 1
-        coeffs[j] += 1
-    elif kind == "random":
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    f = ResiduePoly(n, tuple(coeffs))
-    return n, sizes, carrier, step, f.shift(1) if kind == "shifted" else f
+    f = draw_polynomial(draw, n, sizes)
+    return CyclicAction(n, carrier, step.__getitem__), sizes, step.__getitem__, f
+
+
+@st.composite
+def subset_actions_with_polynomials(draw):
+    """The interval or global action of order d | n on every k-subset or
+    every k-multisubset of [0, n-1] (k <= 3), in random carrier order,
+    with a polynomial of `draw_polynomial` or the Sum generating
+    function; the reference steps with the one-subset rotation and takes
+    the orbit sizes from it."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    k = draw(st.integers(0, 3))
+    enum = draw(st.sampled_from([itertools.combinations,
+                                 itertools.combinations_with_replacement]))
+    carrier = tuple(draw(st.permutations(list(enum(range(n), k)))))
+    make, rotate = draw(st.sampled_from([
+        (subsets.interval_action, subsets.rotate_within_intervals),
+        (subsets.global_action, subsets.rotate_global)]))
+    reference_step = lambda a: rotate(a, n, d)      # noqa: E731
+    sizes, seen = [], set()
+    for x in carrier:
+        if x not in seen:
+            orbit, y = [x], reference_step(x)
+            while y != x:
+                orbit.append(y)
+                y = reference_step(y)
+            seen.update(orbit)
+            sizes.append(len(orbit))
+    f = draw_polynomial(draw, d, sizes, {"sum": brute_gf(carrier, d, sum)})
+    return make(n, d, carrier), sizes, reference_step, f
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,9 +232,28 @@ def test_orbits_are_the_cycles_of_the_successor(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(actions_with_polynomials())
+@given(st.one_of(actions_with_polynomials(), subset_actions_with_polynomials()))
 def test_check_csp_equals_the_element_level_reference(case):
-    n, sizes, carrier, step, f = case
-    a = CyclicAction(n, carrier, step.__getitem__)
+    a, sizes, reference_step, f = case
     assert sorted(orbits(a).sizes) == sorted(sizes)
-    assert check_csp(a, f) == reference_csp(carrier, step.__getitem__, n, f)
+    assert check_csp(a, f) == reference_csp(a.carrier, reference_step, a.order, f)
+
+
+def test_a_subset_step_with_a_shifted_table_fails(monkeypatch):
+    # the interval table shifted by one element (x goes where x + 1 went):
+    # every instance below holds with the true table, and with the shifted
+    # one its step leaves the profile carrier
+    instances = [(subsets.verify_multisubset_refinement, (4, 2, (1, 2))),
+                 (subsets.verify_multisubset_refinement, (6, 3, (2, 1))),
+                 (subsets.verify_subset_star, (6, 3, (1, 2))),
+                 (subsets.verify_subset_star, (8, 4, (2, 2))),
+                 (subsets.verify_chain_refinement, (6, 3, (1, 3, 6)))]
+    for verify, args in instances:
+        assert verify(*args).holds, (verify.__name__, args)
+    table = subsets._interval_table
+    monkeypatch.setattr(subsets, "_interval_table",
+                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+    for verify, args in instances:
+        verdict = verify(*args)
+        assert not verdict.holds and verdict.witness["check"] == "closure", (
+            verify.__name__, args)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from csieve import cli, formulas, sweeps
+from csieve import cli, formulas, subsets, sweeps
 from csieve.actions import CyclicAction
 from csieve.cli import main, parse_composition, parse_word, UsageError
 from csieve.words import inv
@@ -272,6 +272,17 @@ def test_internal_fault_exits_3_with_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "main", "--alpha", "2,2", "--delta", "0,2")
     assert code == 3 and out == ""
     assert err == "internal error: RuntimeError: the two CSP methods disagree\n"
+
+
+def test_a_step_that_is_not_a_bijection_exits_3(capsys, monkeypatch):
+    # a collapsing step is a fault of the action, not bad usage
+    monkeypatch.setattr(subsets, "interval_action",
+                        lambda n, d, carrier: CyclicAction(d, carrier, lambda a: carrier[0]))
+    code, out, err = run(capsys, "verify", "multisubset", "--n", "4", "--d", "2",
+                         "--alpha", "1,2")
+    assert code == 3 and out == ""
+    assert err == ("internal error: NotBijective: "
+                   "step is not a bijection of the carrier\n")
 
 
 def test_verify_vandermonde_cap_counts_coefficient_products(capsys):

@@ -10,8 +10,8 @@ from csieve.actions import OrbitDecomposition
 from csieve.qpoly import ResiduePoly, evaluate_at_root
 from csieve.subsets import (block_maxima_count, enumerate_g_chain,
                             enumerate_g_de, enumerate_m_alpha,
-                            enumerate_s_alpha, enumerate_s_kb,
-                            interval_profile, mbs, rotate_global,
+                            enumerate_s_alpha, enumerate_s_kb, global_action,
+                            interval_action, interval_profile, mbs, rotate_global,
                             rotate_within_intervals, shift_bijection,
                             subset_from_two_letter_word, sum_prime, sum_star,
                             validate_chain, verify_chain_refinement,
@@ -51,6 +51,29 @@ def test_table_rotations_equal_the_arithmetic_formula():
                     sorted(interval[x] for x in multiset))
                 assert rotate_global(multiset, n, d, step) == tuple(
                     sorted(shift[x] for x in multiset))
+
+
+def test_bound_steps_equal_the_one_subset_rotations():
+    for n in range(1, 11):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            interval = [d * (x // d) + (x % d + 1) % d for x in range(n)]
+            shift = [(x + n // d) % n for x in range(n)]
+            for k in range(5):
+                for enum in (itertools.combinations, itertools.combinations_with_replacement):
+                    carrier = tuple(enum(range(n), k))
+                    by_interval = interval_action(n, d, carrier)
+                    by_shift = global_action(n, d, carrier)
+                    assert by_interval.order == by_shift.order == d
+                    for a in carrier:
+                        assert by_interval.step(a) == rotate_within_intervals(a, n, d) == tuple(
+                            sorted(interval[x] for x in a))
+                        assert by_shift.step(a) == rotate_global(a, n, d) == tuple(
+                            sorted(shift[x] for x in a))
+    for action in (interval_action, global_action):
+        with pytest.raises(ValueError, match="d must divide n"):
+            action(6, 4, ())
+        with pytest.raises(ValueError, match="d must divide n"):
+            action(6, 0, ())
 
 
 def test_profile_enumerations():
@@ -160,6 +183,57 @@ def test_mbs_values():
     # a block wrapping through n-1 to 0 has its maximum inside
     assert mbs((0, 4), 5) == 1
     assert block_maxima_count((0, 4), 5) == 1
+
+
+def test_set_free_block_count_equals_the_set_definition():
+    def maxima(delta, n):
+        s = set(delta)
+        return [a for a in s if (a + 1) % n not in s]
+
+    for n in range(1, 11):
+        for k in range(n + 1):
+            for a in itertools.combinations(range(n), k):
+                want = maxima(a, n)
+                for order in (a, a[::-1]):
+                    assert block_maxima_count(order, n) == len(want)
+                    assert mbs(order, n) == sum(x + 1 for x in want)
+                assert subsets._sorted_mbs(a, n) == sum(x + 1 for x in want)
+            for b in range(k + 1):
+                assert list(enumerate_s_kb(n, k, b)) == [
+                    a for a in itertools.combinations(range(n), k)
+                    if len(maxima(a, n)) == b]
+
+
+def test_g_dd_not_fixed_witness_is_the_first_moved_member(monkeypatch):
+    # a step that moves one member out of the carrier (the rescan after
+    # NotClosed), or swaps two members (read from the successor): the
+    # witness is the member a per-member loop names first
+    n, k, d = 8, 4, 2
+    carrier = list(enumerate_g_de(n, k, d, d))
+    assert len(carrier) == 6
+    real = subsets.interval_action
+
+    def first_failing(step):
+        for a in carrier:
+            if step(a) != a:
+                return {"check": "not-fixed", "subset": a}
+            if sum_prime(a) % d:
+                return {"check": "sum-prime-mod-d", "subset": a}
+
+    for j, moved in enumerate(carrier):
+        outside = (n,) * k
+        for swap in ({moved: outside}, {moved: carrier[j - 1], carrier[j - 1]: moved}):
+            def moving(n_, d_, carrier_, swap=swap):
+                action = real(n_, d_, carrier_)
+                inner = action.step
+                action.step = lambda a: swap.get(a) or inner(a)
+                return action
+
+            monkeypatch.setattr(subsets, "interval_action", moving)
+            verdict = verify_g_dd_trivial(n, k, d)
+            assert verdict.holds is False
+            assert verdict.witness == first_failing(moving(n, d, carrier).step)
+            assert verdict.witness["subset"] == min(swap, key=carrier.index)
 
 
 def test_mbs_golden_gf():

@@ -78,6 +78,25 @@ def test_composition_helpers():
     assert list(strong_compositions(2, 3)) == []
 
 
+def test_strong_compositions_are_the_recursive_definition():
+    def recursive(n, parts):
+        if parts == 0:
+            if n == 0:
+                yield ()
+            return
+        if parts == 1:
+            if n >= 1:
+                yield (n,)
+            return
+        for first in range(1, n - parts + 2):
+            for rest in recursive(n - first, parts - 1):
+                yield (first,) + rest
+
+    for n in range(13):
+        for parts in range(14):
+            assert list(strong_compositions(n, parts)) == list(recursive(n, parts))
+
+
 def contents_up_to(n_max):
     """Every strong content with n <= n_max, all numbers of parts."""
     for n in range(1, n_max + 1):
