@@ -59,6 +59,12 @@ class NotBijective(ValueError):
     of the action's construction, not a verdict on the carrier."""
 
 
+class WrongOrder(ValueError):
+    """A step with an orbit whose size does not divide the action order,
+    so step^n is not the identity: a fault of the action's construction,
+    not a verdict on the carrier."""
+
+
 @dataclass
 class CyclicAction:
     """An order-n action on a finite indexed set, given by its generator."""
@@ -92,16 +98,6 @@ class CyclicAction:
                 raise NotBijective("step is not a bijection of the carrier")
             self._successor = perm
         return self._successor
-
-    def orbit_of(self, x) -> tuple:
-        perm = self.successor()
-        start = self.carrier.index(x)
-        orbit = [x]
-        i = perm[start]
-        while i != start:
-            orbit.append(self.carrier[i])
-            i = perm[i]
-        return tuple(sorted(orbit))
 
 
 def orbits(a: CyclicAction) -> OrbitDecomposition:
@@ -177,12 +173,14 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
             break
 
     # Method 2: congruence with the orbit generating function sum, one
-    # orbit_gf per distinct orbit size.
+    # orbit_gf per distinct orbit size, which must divide n.
     counts = {}
     for size in orbits(a).sizes:
         counts[size] = counts.get(size, 0) + 1
     expected = [0] * n
     for size, count in counts.items():
+        if n % size:
+            raise WrongOrder(f"orbit size {size} does not divide the action order {n}")
         for i, c in enumerate(orbit_gf(n, size).coeffs):
             expected[i] += count * c
     witness2 = None

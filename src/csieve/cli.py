@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import formulas, sweeps
-from .actions import NotBijective
+from .actions import NotBijective, WrongOrder
 from .qpoly import poly_text, q_multinomial, reduce
 from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set, des,
                     descent_set, enumerate_by_content, flex, freq, inv, lex, maj, pad_to,
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotBijective as exc:     # a ValueError, but raised by a faulty action
+    except (NotBijective, WrongOrder) as exc:   # ValueErrors, but raised by a faulty action
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

@@ -170,12 +170,24 @@ def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
 
 def feasible_deltas(alpha) -> Iterator[Composition]:
     """All cyclic descent types with a nonempty word class for this strong
-    content, over every total k."""
-    alpha = tuple(alpha)
-    ranges = [range(0, 1)] + [range(0, a + 1) for a in alpha[1:]]
-    for delta in itertools.product(*ranges):
-        if is_nonempty(alpha, delta):
+    content, over every total k, in lexicographic order: the box walked
+    depth first, keeping a delta_l only where is_nonempty's factor
+    conditions hold for the running n_{l-1} and k_{l-1} (a prefix that
+    fails one has no feasible extension)."""
+    alpha = strong_content(alpha)
+    m = len(alpha)
+
+    def extend(delta, n, k):
+        if len(delta) == m:
             yield delta
+            return
+        a = alpha[len(delta)]
+        # delta_l <= falls = n - k; when k = 0 the word so far has no run,
+        # so the letter must open a fall: delta_l >= 1
+        for d in range(0 if k else 1, min(a, n - k) + 1):
+            yield from extend(delta + (d,), n + a, k + d)
+
+    yield from extend((0,), alpha[0], 0)
 
 
 # ---------------------------------------------------------------------------

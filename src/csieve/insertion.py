@@ -12,7 +12,6 @@ multisubset label spaces.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -214,52 +213,58 @@ def phi(w) -> PhiImage:
 
 def _recover_triple(cur: Word, letter: int):
     """(prev, F, R) with insert_triple(prev, letter, F, R) == cur, where
-    letter is the largest letter of cur and prev omits it.  cur ends in 1,
-    so no block of `letter` wraps around."""
-    prev: list[int] = []
-    blocks = []     # [j, size]: a maximal block of `letter` right before prev[j]
-    for x in cur:
-        if x != letter:
-            prev.append(x)
-        elif blocks and blocks[-1][0] == len(prev):
-            blocks[-1][1] += 1
-        else:
-            blocks.append([len(prev), 1])
-    prev = tuple(prev)
-
-    # A block sits in a cyclic gap between prev letters a (before) and b
-    # (after).  A weak ascent a <= b means the block starts with the letter
-    # inserted into the fall holding b, and its other copies went into the
-    # run that letter closes; a descent means a pure run block, in the run
-    # holding a.  The segment holding the 0-based position i is the first
-    # one ending at or after position i + 1, or segment 0 past the last end.
-    fall_ends = _fall_ends(prev)
-    falls = []
-    w_prime: list[int] = []     # cur without its run-inserted letters
-    anchors = []                # per run-inserted copy: index in w_prime it follows
-    last = 0
-    for j, size in blocks:
-        w_prime += prev[last:j]
-        last = j
-        if prev[j - 1] <= prev[j]:
-            falls.append(bisect_left(fall_ends, j + 1) % len(fall_ends))
-            w_prime.append(letter)
-            size -= 1
-        anchors += [len(w_prime) - 1] * size
-    w_prime += prev[last:]
-    w_prime = tuple(w_prime)
-    falls.sort()
-    # Re-inserting at the recovered labels checks that every block sits at
-    # the opening of a fall, then at the close of a run.
-    if w_prime != _open_falls(prev, fall_ends, letter, falls):
+    letter is the largest letter of cur and prev omits it: the labels of
+    _recover_labels, checked by re-insertion.  Opening the falls F of prev
+    must give a word inside cur, as closing runs only adds letters; closing
+    the runs R of that word must give cur.  The criterion-4 walk calls the
+    core alone: it compares the labels with the edge that built cur, and
+    when they agree, re-inserting them gives cur by construction."""
+    prev, falls, runs = _recover_labels(cur, letter)
+    w_prime = _open_falls(prev, _fall_ends(prev), letter, falls)
+    rest = iter(cur)
+    if not all(x in rest for x in w_prime):
         raise RuntimeError("fall recovery failed; invariant violated")
-
-    run_ends = _run_ends(w_prime)
-    runs = sorted(bisect_left(run_ends, a % len(w_prime) + 1) % len(run_ends)
-                  for a in anchors)
-    if _close_runs(w_prime, run_ends, letter, runs) != cur:
+    if _close_runs(w_prime, _run_ends(w_prime), letter, runs) != cur:
         raise RuntimeError("run recovery failed; invariant violated")
-    return prev, tuple(falls), tuple(runs)
+    return prev, falls, runs
+
+
+def _recover_labels(cur: Word, letter: int):
+    """The labels (prev, F, R) of the edge into cur, in one scan of cur and
+    without the checks of _recover_triple.  cur ends in 1, so no block of
+    `letter` wraps around, and the gap before prev[0] is a weak ascent.
+
+    A block sits in the gap j between prev[j-1] and prev[j].  Let D count
+    the descents of prev in the gaps 1..j-1.  In a weak ascent the block
+    starts with the copy that opened fall j - D, as j - D counts the weak
+    ascents in the gaps 1..j and fall f opens after the f-th (fall 0 at
+    gap 0); its other copies closed the run that copy ends.  In a descent
+    the block closed the run that prev[j-1] ends.  Every run of the
+    fall-opened word ends at a descent of prev or at an opened copy, so
+    the run closed by a copy in gap j has index D plus the number of
+    falls opened before gap j."""
+    prev: list[int] = []
+    falls: list[int] = []
+    runs: list[int] = []
+    descents = opened = pending = 0
+    a = 1       # the letter of prev before the gap; cyclically, cur's final 1
+    for x in cur:
+        if x == letter:
+            pending += 1
+            continue
+        if pending:
+            closed = descents + opened
+            if a <= x:
+                falls.append(len(prev) - descents)
+                opened += 1
+                pending -= 1
+            runs += [closed] * pending
+            pending = 0
+        if a > x:
+            descents += 1
+        prev.append(x)
+        a = x
+    return tuple(prev), tuple(falls), tuple(runs)
 
 
 def label_spaces(alpha, delta):

@@ -11,7 +11,7 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import _maj_increment, _recover_triple, insertion_tree
+from .insertion import _maj_increment, _recover_labels, insertion_tree
 from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
@@ -92,7 +92,14 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     root, so by induction phi of every leaf returns the labels of its path.
     Last, the leaves are exactly the `enumerated` words ending in 1 (by
     default, from words_ending_in_one), each built once.  maj is taken
-    once per node, and cdes once per node with children."""
+    once per node, and cdes once per node with children.
+
+    The walk recovers each edge with _recover_labels, the core of phi's
+    step without its re-insertion checks: the child was built from exactly
+    (parent, falls, runs), so when the recovered triple equals that,
+    re-inserting it gives the child by construction, and when it differs
+    the comparison fails.  A recovery witness holds what phi's step reads
+    from the child alone."""
     p = params(alpha, delta)
     if enumerated is None:
         enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
@@ -111,7 +118,7 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
         if parent is not None:
             letter = level + 1
             falls, runs = path[-1]
-            recovered = _recover_triple(w, letter)
+            recovered = _recover_labels(w, letter)
             if recovered != (parent, falls, runs):
                 return _edge_failure("recovery", parent, letter, path[-1], w,
                                      recovered=recovered)

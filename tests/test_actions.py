@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csieve import subsets
-from csieve.actions import (CyclicAction, NotClosed, Verdict, check_csp,
+from csieve.actions import (CyclicAction, NotClosed, Verdict, WrongOrder, check_csp,
                             check_extension_hypotheses, check_refinement, orbits,
                             restrict_to_subgroup)
 from csieve.formulas import brute_gf
@@ -43,7 +43,7 @@ def test_successor_is_a_permutation_of_carrier_indices():
     perm = a.successor()
     assert perm == [1, 2, 0]
     assert all(a.step(carrier[i]) == carrier[perm[i]] for i in range(3))
-    assert a.orbit_of("b") == ("a", "b", "c")
+    assert [tuple(sorted(o)) for o in orbits(a).orbits if "b" in o] == [("a", "b", "c")]
 
 
 def test_orbits_and_fixed_points():
@@ -257,3 +257,17 @@ def test_a_subset_step_with_a_shifted_table_fails(monkeypatch):
         verdict = verify(*args)
         assert not verdict.holds and verdict.witness["check"] == "closure", (
             verify.__name__, args)
+
+
+def test_an_orbit_size_that_does_not_divide_the_order_is_a_fault(monkeypatch):
+    # the same shifted table on all 2-subsets of [0, 5], which every step of
+    # the universe preserves: it is a 6-cycle, so the order-3 action has
+    # orbits of size 6
+    table = subsets._interval_table
+    monkeypatch.setattr(subsets, "_interval_table",
+                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+    carrier = tuple(itertools.combinations(range(6), 2))
+    action = subsets.interval_action(6, 3, carrier)
+    assert sorted(orbits(action).sizes) == [3, 6, 6]
+    with pytest.raises(WrongOrder, match="orbit size 6 does not divide the action order 3"):
+        check_csp(action, brute_gf(carrier, 3, sum))

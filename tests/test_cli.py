@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface via its main() entry."""
 
+import itertools
 import json
 import time
 
@@ -283,6 +284,22 @@ def test_a_step_that_is_not_a_bijection_exits_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("internal error: NotBijective: "
                    "step is not a bijection of the carrier\n")
+
+
+def test_an_orbit_size_that_does_not_divide_the_order_exits_3(capsys, monkeypatch):
+    # the interval table shifted by one element is a 6-cycle of [0, 5]; on
+    # all 2-subsets, the carrier in place of the profile's, the order-3
+    # action then has orbits of size 6
+    table = subsets._interval_table
+    monkeypatch.setattr(subsets, "_interval_table",
+                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+    monkeypatch.setattr(subsets, "enumerate_m_alpha",
+                        lambda n, d, alpha: itertools.combinations(range(n), 2))
+    code, out, err = run(capsys, "verify", "multisubset", "--n", "6", "--d", "3",
+                         "--alpha", "1,1")
+    assert code == 3 and out == ""
+    assert err == ("internal error: WrongOrder: "
+                   "orbit size 6 does not divide the action order 3\n")
 
 
 def test_verify_vandermonde_cap_counts_coefficient_products(capsys):

@@ -55,6 +55,18 @@ def test_is_nonempty_matches_enumeration():
         is_nonempty((2, 2), (0, 3))     # delta_2 > alpha_2
 
 
+def test_feasible_deltas_are_the_nonempty_points_of_the_box():
+    for n in range(1, 11):
+        for parts in range(1, min(5, n) + 1):
+            for alpha in strong_compositions(n, parts):
+                box = itertools.product(range(1), *(range(a + 1) for a in alpha[1:]))
+                assert list(feasible_deltas(alpha)) == [
+                    delta for delta in box if is_nonempty(alpha, delta)], alpha
+    for alpha in [(), (2, 0, 1), (0, 2)]:
+        with pytest.raises(ValueError):
+            list(feasible_deltas(alpha))
+
+
 def test_count_golden():
     assert count_w_alpha_delta((2, 2), (0, 2)) == 2
     assert count_w_alpha_delta((4, 2, 3), (0, 2, 1)) == 324

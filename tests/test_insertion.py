@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csieve import insertion
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas, is_nonempty,
                              maj_gf_mod_n, tilde_maj_gf)
 from csieve.insertion import (fall_segments, image_multiplicity_words,
@@ -15,6 +16,7 @@ from csieve.insertion import (fall_segments, image_multiplicity_words,
                               leaves, phi, phi_inverse, power_image,
                               predicted_maj_increment, run_segments)
 from csieve.qpoly import ZERO, ResiduePoly
+from csieve.sweeps import iter_contents
 from csieve.words import as_word, cdt_groups, content, maj, strong_compositions
 
 
@@ -67,6 +69,33 @@ def test_insertion_path_example():
 def test_phi_golden_images():
     assert phi((2, 1, 1, 3, 3, 2, 3, 1, 1)) == (((0, 2), ()), ((2,), (1, 2)))
     assert phi((2, 2, 2, 1, 1, 2, 3, 3, 1, 1)) == (((0, 2), (0, 0)), ((), (1, 1)))
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (lambda prev, falls, runs: (prev, tuple(f + 1 for f in falls), runs),
+     "fall recovery failed"),
+    (lambda prev, falls, runs: (prev, falls, tuple(r - 1 for r in runs)),
+     "run recovery failed")])
+def test_phi_checks_its_recovered_labels_by_reinsertion(monkeypatch, wrong, message):
+    # the last step of the golden word recovers falls (2,) and runs (1, 2)
+    real = insertion._recover_labels
+    monkeypatch.setattr(insertion, "_recover_labels",
+                        lambda cur, letter: wrong(*real(cur, letter)))
+    with pytest.raises(RuntimeError, match=message):
+        phi((2, 1, 1, 3, 3, 2, 3, 1, 1))
+
+
+def test_the_recovery_core_reads_every_edge_of_every_tree():
+    # the labels the criterion-4 walk reads without re-insertion are the
+    # edge's own, and phi's self-checked step agrees
+    for alpha in iter_contents(7, 4):
+        for delta in feasible_deltas(alpha):
+            for parent, path, w in insertion_tree(alpha, delta):
+                if parent is not None:
+                    letter = len(path) + 1
+                    assert (insertion._recover_labels(w, letter)
+                            == insertion._recover_triple(w, letter)
+                            == (parent, *path[-1])), (alpha, delta, w)
 
 
 def test_phi_of_squared_word():

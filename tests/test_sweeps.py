@@ -40,7 +40,7 @@ def test_maj_increment_witness(monkeypatch):
 
 
 def test_recovery_witness(monkeypatch):
-    monkeypatch.setattr(sweeps, "_recover_triple", lambda w, letter: ((), (), ()))
+    monkeypatch.setattr(sweeps, "_recover_labels", lambda w, letter: ((), (), ()))
     verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0))
     witness = verdict.witness
     assert verdict.holds is False
@@ -67,6 +67,31 @@ def test_an_insert_that_drops_a_copy_fails(monkeypatch):
     assert witness["check"] == "recovery"
     assert witness["recovered"] != (witness["parent"], witness["falls"], witness["runs"])
     assert witness["child"].count(witness["letter"]) < len(witness["falls"] + witness["runs"])
+
+
+def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
+    # the first copy opening a fall goes one place late, then the runs are
+    # closed on that word: the content and the final 1 stay
+    def move_a_fall_copy(w, fall_ends, letter, falls, runs):
+        opened = list(insertion._open_falls(w, fall_ends, letter, falls))
+        if falls:
+            i = opened.index(letter)
+            opened[i:i + 2] = opened[i + 1], letter
+        opened = tuple(opened)
+        return insertion._close_runs(opened, insertion._run_ends(opened), letter, runs)
+
+    monkeypatch.setattr(insertion, "_insert_triple", move_a_fall_copy)
+    verdict = sweeps.verify_phi((3, 1, 2), (0, 1, 1))
+    witness = verdict.witness
+    assert verdict.holds is False
+    assert witness["check"] == "recovery"
+    parent, letter, child = witness["parent"], witness["letter"], witness["child"]
+    assert sorted(child) == sorted(insert_triple(parent, letter, witness["falls"],
+                                                 witness["runs"]))
+    assert child[-1] == 1
+    # what phi's step reads from the child alone, self-checks included
+    assert witness["recovered"] == insertion._recover_triple(child, letter)
+    assert witness["recovered"] != (parent, witness["falls"], witness["runs"])
 
 
 def test_leaf_set_witness():
