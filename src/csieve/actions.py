@@ -13,16 +13,19 @@ so method 1 evaluates f once per order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from operator import eq
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .qpoly import ResiduePoly, evaluate_at_root, orbit_gf, has_period, refold
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """A check's outcome, with a JSON-ready witness when it fails.  An
+    immutable named tuple: it compares equal to the plain tuple
+    (holds, witness), and len() and unpacking work on it.  json.dumps
+    would write it as a list, so output reads its fields or to_json()."""
+
     holds: bool
     witness: Optional[dict] = None
 
@@ -30,10 +33,12 @@ class Verdict:
         return {"holds": self.holds, "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    # Each orbit in cycle order from its first element in carrier order;
-    # orbits in the carrier order of those first elements.
+class OrbitDecomposition(NamedTuple):
+    """The orbits of an action: each in cycle order from its first element
+    in carrier order, the orbits in the carrier order of those first
+    elements.  An immutable named tuple of one field, equal to the plain
+    tuple (orbits,); len() counts that field, not the orbits."""
+
     orbits: tuple[tuple, ...]
 
     @property
@@ -60,23 +65,27 @@ class NotBijective(ValueError):
 
 
 class WrongOrder(ValueError):
-    """A step with an orbit whose size does not divide the action order,
-    so step^n is not the identity: a fault of the action's construction,
-    not a verdict on the carrier."""
+    """An action checked against the wrong order: a polynomial whose
+    modulus is not the action order, or a step with an orbit whose size
+    does not divide it (so step^n is not the identity).  A fault of the
+    check's construction, not a verdict on the carrier."""
 
 
-@dataclass
 class CyclicAction:
-    """An order-n action on a finite indexed set, given by its generator."""
+    """An order-n action on a finite indexed set, given by its generator.
+    A plain class with slots (not a value type: it compares by identity):
+    the carrier is kept as a tuple, and the successor and the orbits are
+    cached on the action the first time they are asked for."""
 
-    order: int
-    carrier: tuple
-    step: Callable
-    _successor: list = field(default=None, repr=False, compare=False)
-    _orbits: OrbitDecomposition = field(default=None, repr=False, compare=False)
+    __slots__ = ("order", "carrier", "step", "_successor", "_orbits")
 
-    def __post_init__(self):
-        self.carrier = tuple(self.carrier)
+    def __init__(self, order: int, carrier, step: Callable):
+        self.order, self.carrier, self.step = order, tuple(carrier), step
+        self._successor = self._orbits = None
+
+    def __repr__(self) -> str:
+        return (f"CyclicAction(order={self.order!r}, carrier={self.carrier!r}, "
+                f"step={self.step!r})")
 
     def successor(self) -> list[int]:
         """The generator as a permutation of carrier indices:
@@ -144,10 +153,11 @@ def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:
 def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     """Dual cyclic sieving check for the triple (carrier, C_n, f).  A step
     that leaves the carrier fails it with a closure witness: the element
-    and its image."""
+    and its image.  An f whose modulus is not n, or an orbit whose size
+    does not divide n, raises WrongOrder."""
     n = a.order
     if f.n != n:
-        raise ValueError("polynomial modulus must equal the action order")
+        raise WrongOrder("polynomial modulus must equal the action order")
     try:
         perm = a.successor()
     except NotClosed as exc:
@@ -195,9 +205,10 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     return Verdict(witness1 is None, witness1)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    """Hypotheses of the period-based extension of a CSP from C_g to C_n."""
+class ExtensionReport(NamedTuple):
+    """Hypotheses of the period-based extension of a CSP from C_g to C_n.
+    An immutable named tuple of its four fields, equal to that plain
+    tuple; like Verdict, it reaches JSON only through to_json()."""
 
     subgroup_csp: Verdict          # (i) CSP for the restricted order-g action
     period_ok: bool                # (ii) f has period g modulo n

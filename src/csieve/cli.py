@@ -3,14 +3,13 @@ theorem-verification sweeps with machine-readable output.
 
 Exit codes: 0 all checks hold, 1 a verification failed (witness in the
 output), 2 usage or validation error, 3 internal fault (any other
-exception, and an action whose step is not a bijection), each error with
-one line on stderr.
+exception, an action whose step is not a bijection, and an action checked
+against the wrong order), each error with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -178,6 +177,15 @@ def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
+def _sweep_defaults(sweep) -> dict:
+    """The sweep's parameters with their defaults, read from the function
+    itself; every parameter of a sweep has a default."""
+    defaults = sweep.__defaults__ or ()
+    code = sweep.__code__
+    names = code.co_varnames[code.co_argcount - len(defaults):code.co_argcount]
+    return dict(zip(names, defaults))
+
+
 def _sweep_bounds(args, name: str, sweep) -> dict:
     """The sweep bounds given on the command line; the others keep the
     sweep's own defaults.  A theorem without a sweep takes none, and only
@@ -186,7 +194,7 @@ def _sweep_bounds(args, name: str, sweep) -> dict:
               if getattr(args, b) is not None}
     if bounds and sweep is None:
         raise UsageError(f"theorem {name!r} has no sweep; it takes no {_flags(bounds)}")
-    if "max_parts" in bounds and "max_parts" not in inspect.signature(sweep).parameters:
+    if "max_parts" in bounds and "max_parts" not in _sweep_defaults(sweep):
         raise UsageError(f"theorem {name!r} takes no --max-parts")
     if bounds.get("n_max", 0) < 0:
         raise UsageError("--n-max must be non-negative")
@@ -200,8 +208,7 @@ def _check_sweep_cap(theorem, bounds: dict) -> None:
     enumerating anything."""
     if theorem.largest is None:
         return
-    defaults = inspect.signature(theorem.sweep).parameters
-    resolved = {b: bounds.get(b, p.default) for b, p in defaults.items()}
+    resolved = {**_sweep_defaults(theorem.sweep), **bounds}
     if resolved["n_max"] > 0:
         check_cap(theorem.size(**theorem.largest(**resolved)))
 

@@ -8,9 +8,8 @@ sum q^maj) used by the test suite; the formulas are never trusted alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial, gcd, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
                       check_extension_hypotheses)
@@ -34,22 +33,35 @@ def multinomial(alpha) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class InstanceParams:
-    """A content alpha (strong) with a cyclic descent type delta in the box
-    delta_1 = 0, 0 <= delta_l <= alpha_l, where every cyclic descent type
-    lies, and the derived quantities the product formulas use."""
-
+class _InstanceFields(NamedTuple):
     alpha: Composition
     delta: Composition
 
-    def __post_init__(self):
-        if len(self.alpha) != len(self.delta):
+
+class InstanceParams(_InstanceFields):
+    """A content alpha (strong) with a cyclic descent type delta in the box
+    delta_1 = 0, 0 <= delta_l <= alpha_l, where every cyclic descent type
+    lies, and the derived quantities the product formulas use.
+
+    An immutable named tuple (alpha, delta): it compares equal to that
+    plain tuple, and len() and unpacking work on it.  The checks run in
+    __new__ (and _make, hence _replace), so no instance outside the box
+    is ever built."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: Composition, delta: Composition):
+        if len(alpha) != len(delta):
             raise ValueError("alpha and delta need the same number of parts")
-        if not self.alpha or not is_strong(self.alpha):
+        if not alpha or not is_strong(alpha):
             raise ValueError("alpha must be a non-empty strong composition")
-        if self.delta[0] or not all(0 <= d <= a for a, d in zip(self.alpha, self.delta)):
+        if delta[0] or not all(0 <= d <= a for a, d in zip(alpha, delta)):
             raise ValueError("delta must have delta_1 = 0 and 0 <= delta_l <= alpha_l")
+        return tuple.__new__(cls, (alpha, delta))
+
+    @classmethod
+    def _make(cls, iterable) -> "InstanceParams":
+        return cls(*iterable)
 
     @property
     def m(self) -> int:

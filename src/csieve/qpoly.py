@@ -10,9 +10,8 @@ no floating point appears anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 IntPoly = tuple[int, ...]
 
@@ -162,18 +161,30 @@ def cyclotomic(d: int) -> IntPoly:
 # ---------------------------------------------------------------------------
 # residues mod q^n - 1
 
-@dataclass(frozen=True)
-class ResiduePoly:
-    """Dense integer polynomial residue modulo q^n - 1."""
-
+class _ResidueFields(NamedTuple):
     n: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class ResiduePoly(_ResidueFields):
+    """Dense integer polynomial residue modulo q^n - 1.
+
+    An immutable named tuple (n, coeffs): it compares equal to that plain
+    tuple, and len() and unpacking work on it.  The checks run in __new__
+    (and _make, hence _replace), so no invalid residue is ever built."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, coeffs: tuple[int, ...]):
+        if n < 1:
             raise ValueError("modulus exponent must be >= 1")
-        if len(self.coeffs) != self.n:
+        if len(coeffs) != n:
             raise ValueError("need exactly n coefficients")
+        return tuple.__new__(cls, (n, coeffs))
+
+    @classmethod
+    def _make(cls, iterable) -> "ResiduePoly":
+        return cls(*iterable)
 
     @staticmethod
     def zero(n: int) -> "ResiduePoly":

@@ -101,8 +101,11 @@ def _enumerate_profile(n: int, d: int, alpha, chooser) -> Iterator[IndexTuple]:
     _check_divides(n, d)
     if len(alpha) != n // d:
         raise ValueError("profile needs n/d parts")
-    per_interval = [list(chooser(range((j - 1) * d, j * d), alpha[j - 1]))
-                    for j in range(1, n // d + 1)]
+    # a zero part contributes only the empty choice, so only the nonzero
+    # parts get a choice list: the product yields the same tuples in the
+    # same order
+    per_interval = [list(chooser(range(j * d, (j + 1) * d), a))
+                    for j, a in enumerate(alpha) if a]
     join = itertools.chain.from_iterable
     for pieces in itertools.product(*per_interval):
         yield tuple(join(pieces))
@@ -381,12 +384,25 @@ def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
             yield a
 
 
-def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
+def subsets_by_blocks(n: int, k: int) -> list[list[IndexTuple]]:
+    """The k-subsets of Z/n bucketed by their number of cyclic blocks,
+    each block-counted once: entry b is enumerate_s_kb(n, k, b), in the
+    same order, for b = 0..k (a k-subset has at most k blocks)."""
+    buckets: list[list[IndexTuple]] = [[] for _ in range(k + 1)]
+    for a in enumerate_subsets(n, k):
+        buckets[len(_block_maxima(a, n))].append(a)
+    return buckets
+
+
+def verify_mbs_csp(n: int, k: int, b: int, carrier=None) -> Verdict:
+    """(S_{k,b}, rotation C_n, mbs) is a CSP.  A sweep that has already
+    bucketed the k-subsets passes the bucket as the carrier; without it
+    the verifier enumerates S_{k,b} itself."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0 or b < 0:
         raise ValueError("k and b must be non-negative")
-    carrier = tuple(enumerate_s_kb(n, k, b))
+    carrier = tuple(enumerate_s_kb(n, k, b) if carrier is None else carrier)
     if not carrier:
         return Verdict(True, None)
     return check_csp(global_action(n, n, carrier),

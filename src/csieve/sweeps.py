@@ -16,7 +16,7 @@ from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
                        verify_formula_vs_oracle, verify_main_theorem)
-from .subsets import (verify_chain_refinement, verify_g_dd_trivial,
+from .subsets import (subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
 from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
@@ -263,10 +263,12 @@ def sweep_action_isomorphism(n_max: int = 12) -> Iterator[SweepItem]:
 
 
 def sweep_mbs(n_max: int = 8) -> Iterator[SweepItem]:
+    """The block-maximum-sum CSP on every S_{k,b}; the k-subsets of each
+    (n, k) are block-counted once and handed out by bucket."""
     for n in range(1, n_max + 1):
         for k in range(0, n + 1):
-            for b in range(0, k + 1):
-                yield {"n": n, "k": k, "b": b}, verify_mbs_csp(n, k, b)
+            for b, carrier in enumerate(subsets_by_blocks(n, k)):
+                yield {"n": n, "k": k, "b": b}, verify_mbs_csp(n, k, b, carrier)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ positions.  Compositions are plain tuples of non-negative integers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -158,8 +157,10 @@ def rotate(w: Iterable[int], steps: int) -> Word:
     return w[-s:] + w[:-s] if s else w
 
 
-@dataclass(frozen=True)
-class Necklace:
+class Necklace(NamedTuple):
+    """The rotation class of a word.  An immutable named tuple of its four
+    fields, equal to that plain tuple, with len() 4 and unpacking."""
+
     representative: Word          # lexicographically least rotation
     members: tuple[Word, ...]     # distinct rotations, lex sorted
     period: int

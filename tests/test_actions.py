@@ -46,6 +46,20 @@ def test_successor_is_a_permutation_of_carrier_indices():
     assert [tuple(sorted(o)) for o in orbits(a).orbits if "b" in o] == [("a", "b", "c")]
 
 
+def test_value_types_and_the_slots_action():
+    assert Verdict(True) == (True, None)
+    holds, witness = Verdict(False, {"k": 1})
+    assert (holds, witness) == (False, {"k": 1})
+    with pytest.raises(AttributeError):
+        Verdict(True).holds = False
+    a = CyclicAction(2, [0, 1], abs)
+    assert a.carrier == (0, 1)
+    assert repr(a) == "CyclicAction(order=2, carrier=(0, 1), step=<built-in function abs>)"
+    with pytest.raises(AttributeError):
+        a.cache = {}                 # no attributes beyond the slots
+    assert orbits(a) == (((0,), (1,)),) and orbits(a) is orbits(a)
+
+
 def test_orbits_and_fixed_points():
     a = subset_rotation(4, 2)
     dec = orbits(a)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface via its main() entry."""
 
+import inspect
 import itertools
 import json
 import time
@@ -284,6 +285,27 @@ def test_a_step_that_is_not_a_bijection_exits_3(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("internal error: NotBijective: "
                    "step is not a bijection of the carrier\n")
+
+
+def test_a_polynomial_of_another_modulus_exits_3(capsys, monkeypatch):
+    # the order-2 interval action checked against a residue mod q^3 - 1
+    monkeypatch.setattr(subsets, "brute_gf",
+                        lambda carrier, n, stat: formulas.brute_gf(carrier, n + 1, stat))
+    code, out, err = run(capsys, "verify", "multisubset", "--n", "4", "--d", "2",
+                         "--alpha", "1,2")
+    assert code == 3 and out == ""
+    assert err == ("internal error: WrongOrder: "
+                   "polynomial modulus must equal the action order\n")
+
+
+def test_sweep_defaults_are_the_sweep_signature():
+    # read from the function without inspect; equal only when every
+    # parameter of the sweep has a default
+    for name, theorem in sweeps.THEOREMS.items():
+        if theorem.sweep is not None:
+            assert cli._sweep_defaults(theorem.sweep) == {
+                p.name: p.default
+                for p in inspect.signature(theorem.sweep).parameters.values()}, name
 
 
 def test_an_orbit_size_that_does_not_divide_the_order_exits_3(capsys, monkeypatch):

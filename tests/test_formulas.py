@@ -182,3 +182,15 @@ def test_params_validation():
         params((2, 0), (0, 0))       # alpha must be strong
     with pytest.raises(ValueError):
         params((2, 2), (0,))         # length mismatch
+
+
+def test_params_is_a_validated_named_tuple():
+    p = params((2, 2), (0, 2))
+    assert p == ((2, 2), (0, 2)) and len(p) == 2
+    assert repr(p) == "InstanceParams(alpha=(2, 2), delta=(0, 2))"
+    with pytest.raises(AttributeError):
+        p.alpha = (4,)
+    with pytest.raises(ValueError, match="delta_1 = 0"):
+        p._replace(delta=(1, 2))
+    with pytest.raises(ValueError, match="same number of parts"):
+        type(p)._make(((2, 2), (0,)))

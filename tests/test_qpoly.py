@@ -85,6 +85,21 @@ def test_residue_arithmetic():
     assert (q * q * q) == ResiduePoly(3, (1, 0, 0))
 
 
+def test_residue_is_a_validated_named_tuple():
+    f = ResiduePoly(3, (5, 7, 3))
+    assert f == (3, (5, 7, 3)) and len(f) == 2
+    assert repr(f) == "ResiduePoly(n=3, coeffs=(5, 7, 3))"
+    with pytest.raises(AttributeError):
+        f.n = 4
+    # __new__ checks every way of building one, _make and _replace too
+    for n, coeffs, message in ((0, (), ">= 1"), (3, (1, 2), "exactly n")):
+        for build in (lambda: ResiduePoly(n, coeffs),
+                      lambda: ResiduePoly._make((n, coeffs)),
+                      lambda: f._replace(n=n, coeffs=coeffs)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+
 def test_refold():
     f = ResiduePoly(6, (1, 2, 3, 4, 5, 6))
     assert refold(f, 3) == ResiduePoly(3, (5, 7, 9))

@@ -18,7 +18,7 @@ from csieve.subsets import (block_maxima_count, enumerate_g_chain,
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
-from csieve.sweeps import divisor_chains
+from csieve.sweeps import compositions_with_parts, divisor_chains
 
 
 def test_statistics():
@@ -81,6 +81,23 @@ def test_profile_enumerations():
         (0, 2), (0, 3), (1, 2), (1, 3)}
     assert set(enumerate_m_alpha(4, 2, (2, 0))) == {(0, 0), (0, 1), (1, 1)}
     assert list(enumerate_m_alpha(2, 2, (0,))) == [()]
+
+
+def test_profile_enumeration_equals_the_product_over_all_parts():
+    # zero parts get no choice list; the product over every part, each zero
+    # part contributing its one empty choice, gives the same tuples in order
+    join = itertools.chain.from_iterable
+    for n in range(1, 13):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for k in range(5):
+                for alpha in compositions_with_parts(k, n // d):
+                    for chooser in (itertools.combinations,
+                                    itertools.combinations_with_replacement):
+                        per_interval = [list(chooser(range(j * d, (j + 1) * d), a))
+                                        for j, a in enumerate(alpha)]
+                        want = [tuple(join(p)) for p in itertools.product(*per_interval)]
+                        got = list(subsets._enumerate_profile(n, d, alpha, chooser))
+                        assert got == want, (n, d, alpha, chooser)
 
 
 def test_gcd_families_worked_example():
@@ -202,6 +219,15 @@ def test_set_free_block_count_equals_the_set_definition():
                 assert list(enumerate_s_kb(n, k, b)) == [
                     a for a in itertools.combinations(range(n), k)
                     if len(maxima(a, n)) == b]
+
+
+def test_block_buckets_are_the_block_classes():
+    # every k-subset has at most k blocks, so the k + 1 buckets hold them all
+    for n in range(1, 11):
+        for k in range(n + 1):
+            assert subsets.subsets_by_blocks(n, k) == [
+                list(enumerate_s_kb(n, k, b)) for b in range(k + 1)]
+    assert verify_mbs_csp(5, 3, 2, subsets.subsets_by_blocks(5, 3)[2]).holds
 
 
 def test_g_dd_not_fixed_witness_is_the_first_moved_member(monkeypatch):

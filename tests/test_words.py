@@ -56,6 +56,10 @@ def test_necklace_of_running_example():
     assert len(nk.members) == 4
     assert nk.representative == min(nk.members)
     assert W in nk.members
+    # a named tuple of its four fields
+    assert necklace((2, 1, 2, 1)) == ((1, 2, 1, 2), ((1, 2, 1, 2), (2, 1, 2, 1)), 2, 2)
+    with pytest.raises(AttributeError):
+        nk.period = 1
 
 
 def test_flex_table_of_running_example():
