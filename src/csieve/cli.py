@@ -115,7 +115,10 @@ def _stat_fn(name: str):
 
 def cmd_gf(args) -> int:
     alpha = parse_composition(args.alpha, "alpha")
-    delta = parse_composition(args.delta, "delta") if args.delta else None
+    given = parse_composition(args.delta, "delta") if args.delta else None
+    # the gate of verify: a strong alpha and a delta in its box
+    delta = (None if given is None
+             else formulas.params(alpha, pad_to(given, len(alpha))).delta)
     n = sum(alpha)
     if args.mod and n == 0:
         raise UsageError("--mod needs a content with at least one letter")
@@ -124,14 +127,14 @@ def cmd_gf(args) -> int:
     if delta is None:
         words = list(enumerate_by_content(alpha))
     else:
-        words = cdt_groups(alpha).get(pad_to(delta, len(alpha)), [])
+        words = cdt_groups(alpha).get(delta, [])
     poly = formulas.tally(map(_stat_fn(args.stat), words))
     coeffs = list(reduce(poly, n).coeffs if args.mod else poly or (0,))
 
     report = {"alpha": list(alpha), "stat": args.stat, "count": len(words),
               "coefficients": coeffs, "polynomial": poly_text(coeffs)}
-    if delta is not None:
-        report["delta"] = list(delta)
+    if given is not None:
+        report["delta"] = list(given)
 
     exit_code = 0
     if args.formula:
@@ -162,10 +165,7 @@ def _gf_formula(alpha, delta, stat, poly, n) -> dict:
     if delta is None:
         closed = q_multinomial(n, alpha)
         return {"formula": poly_text(closed), "equal": poly == closed}
-    flat_alpha, flat_delta = formulas.flatten(alpha, pad_to(delta, len(alpha)))
-    if not flat_alpha:
-        flat_alpha, flat_delta = (n,), (0,)
-    closed = formulas.maj_gf_mod_n(flat_alpha, flat_delta)
+    closed = formulas.maj_gf_mod_n(alpha, delta)
     return {"formula": closed.text(), "formula_modulus": n,
             "equal": reduce(poly, n) == closed}
 
@@ -255,7 +255,9 @@ def cmd_verify(args) -> int:
         _check_sweep_cap(theorem, bounds)
         items = theorem.sweep(**bounds)
 
-    report = sweeps.run_sweep(items, collect_instances=not args.failures_only)
+    # only JSON lists the instances
+    report = sweeps.run_sweep(items, collect_instances=(
+        args.format == "json" and not args.failures_only))
     report["theorem"] = name
     if args.format == "json":
         print(json.dumps(report, indent=2))

@@ -16,7 +16,7 @@ from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
 from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
                     q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
-                    inv, is_strong, maj, necklace as necklace_of, pad_to)
+                    inv, is_strong, maj, necklace as necklace_of)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -105,17 +105,6 @@ def strong_content(alpha) -> Composition:
     """alpha through the gate of InstanceParams, for the theorems that take
     no delta: the zero type lies in every box."""
     return params(alpha, (0,) * len(tuple(alpha))).alpha
-
-
-def flatten(alpha, delta) -> tuple[Composition, Composition]:
-    """Drop zero parts of alpha with their paired delta entries; a nonzero
-    delta entry over an absent letter stays, for InstanceParams to reject."""
-    alpha, delta = tuple(alpha), tuple(delta)
-    delta = pad_to(delta, len(alpha)) if len(delta) < len(alpha) else delta
-    if len(alpha) != len(delta):
-        raise ValueError("delta has more parts than alpha")
-    pairs = [(a, d) for a, d in zip(alpha, delta) if a > 0 or d > 0]
-    return tuple(a for a, _ in pairs), tuple(d for _, d in pairs)
 
 
 def is_nonempty(alpha, delta) -> bool:

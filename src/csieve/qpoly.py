@@ -207,10 +207,6 @@ class ResiduePoly(_ResidueFields):
         self._check(other)
         return ResiduePoly(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "ResiduePoly") -> "ResiduePoly":
-        self._check(other)
-        return ResiduePoly(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return ResiduePoly(self.n, tuple(other * c for c in self.coeffs))

@@ -1,8 +1,9 @@
 """Exhaustive verification sweeps over desk-scale parameter ranges.
 
 Each sweep yields (key, verdict) pairs, where key is a JSON-ready dict
-identifying the instance.  The CLI and the acceptance tests share these
-drivers so they exercise identical code paths.
+identifying the instance.  The acceptance tests run every sweep of
+THEOREMS through `csieve verify` at its default bounds, so those defaults
+are the acceptance ranges.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ FLEX_ALPHABET = 3
 K_MAX = 4
 
 
-def iter_contents(n_max: int, max_parts: int = 4) -> Iterator[tuple]:
+def iter_contents(n_max: int, max_parts: int | None = 4) -> Iterator[tuple]:
+    """The strong compositions of 1..n_max into at most max_parts parts
+    (any number of parts when max_parts is None)."""
     for n in range(1, n_max + 1):
-        for parts in range(1, min(max_parts, n) + 1):
+        top = n if max_parts is None else min(max_parts, n)
+        for parts in range(1, top + 1):
             yield from strong_compositions(n, parts)
 
 
@@ -154,7 +158,7 @@ def sweep_phi(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
 
 def sweep_macmahon(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
     """MacMahon's equidistribution on every content; all parts by default."""
-    for alpha in iter_contents(n_max, n_max if max_parts is None else max_parts):
+    for alpha in iter_contents(n_max, max_parts):
         yield {"alpha": alpha}, macmahon_check(alpha)
 
 
@@ -177,9 +181,9 @@ def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
             yield {"necklace": w}, verify_flex_universal(w)
 
 
-def sweep_flex_maj(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
+def sweep_flex_maj(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
     """flex and maj equidistributed mod n (verify_flex_maj_equidistribution)
-    on every content/CDT class."""
+    on every content/CDT class; all parts by default."""
     for alpha in iter_contents(n_max, max_parts):
         for delta, words in sorted(cdt_groups(alpha).items()):
             yield ({"alpha": alpha, "delta": delta},

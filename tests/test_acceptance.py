@@ -1,15 +1,19 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite.
 
-Every check is exact (tolerance zero).  The sweeps enumerate complete
-parameter ranges; the randomized block (criterion 8) uses a fixed seed so
-runs are reproducible.
+Every theorem of sweeps.THEOREMS with a sweep is checked through
+`csieve verify` over the sweep's default bounds, which are its acceptance
+range, and the test prints the line the CLI prints.  Criterion 1 checks
+golden examples, criterion 8 the period calculus on seeded random
+residues.  Every check is exact (tolerance zero).
 """
 
 import random
 import time
 from math import gcd
 
-from csieve import formulas, sweeps
+import pytest
+
+from csieve import cli, formulas, sweeps
 from csieve.insertion import (insert_into_falls, insert_into_runs, leaves,
                               phi, power_image)
 from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
@@ -19,21 +23,40 @@ from csieve.subsets import (enumerate_g_de, enumerate_g_chain, enumerate_s_kb,
 from csieve.words import (as_word, cdes, cdt, content, cyclic_descent_set,
                           descent_set, flex, freq, inv, maj, necklace, period)
 
-
-def report(number: int, name: str, result: dict | bool):
-    if isinstance(result, bool):
-        ok, detail = result, ""
-    else:
-        ok = result["holds"]
-        detail = f" ({result['instances_checked']} instances)"
-        if not ok:
-            detail += f" first failure: {result['failures'][0]}"
-    print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {number}: {name}{detail}")
-    assert ok, f"criterion {number} ({name}) failed{detail}"
+# The instances each sweep checks at its default bounds: a shrunk default
+# would still hold, so the counts are pinned.
+INSTANCES = {"main": 786, "tilde-gf": 2895, "phi": 2895, "macmahon": 255,
+             "vandermonde": 385, "period-g": 786, "flex-universal": 9503,
+             "flex-maj": 2534, "multisubset": 3373, "subset-star": 1317,
+             "chain": 207, "g-dd": 299, "action-isomorphism": 166, "mbs": 164}
 
 
-def drain(items) -> dict:
-    return sweeps.run_sweep(items)
+def swept_theorems() -> list[str]:
+    """The first theorem of each distinct sweep of THEOREMS; tilde-gf and
+    maj-mod-n share sweep_formulas, so it runs once."""
+    first = {}
+    for name, theorem in sweeps.THEOREMS.items():
+        if theorem.sweep is not None:
+            first.setdefault(theorem.sweep, name)
+    return list(first.values())
+
+
+def test_every_sweep_has_a_pinned_count():
+    assert sorted(INSTANCES) == sorted(swept_theorems())
+
+
+@pytest.mark.parametrize("name", swept_theorems())
+def test_theorem_sweep(capsys, monkeypatch, name):
+    monkeypatch.delenv("CSIEVE_CAP", raising=False)
+    start = time.monotonic()
+    code = cli.main(["verify", name, "--format", "text", "--failures-only"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    with capsys.disabled():
+        print("\n" + out, end="")
+    assert code == 0
+    assert out == f"{name}: checked {INSTANCES.get(name)} instance(s), holds=True\n"
+    assert elapsed < 60.0
 
 
 def test_criterion_1_golden_examples():
@@ -88,58 +111,8 @@ def test_criterion_1_golden_examples():
     ok &= rotate_within_intervals((0, 0, 0, 2, 2, 3), 4, 4) == (0, 1, 1, 1, 3, 3)
 
     elapsed = time.monotonic() - start
-    ok &= elapsed < 1.0
-    report(1, f"golden examples in {elapsed:.3f}s", bool(ok))
-
-
-def test_criterion_2_main_theorem_sweep():
-    start = time.monotonic()
-    result = drain(sweeps.sweep_main(8, 4))
-    elapsed = time.monotonic() - start
-    result["holds"] &= elapsed < 60.0
-    report(2, f"main CSP sweep n<=8 in {elapsed:.1f}s", result)
-
-
-def test_criterion_3_formula_vs_oracle():
-    report(3, "closed forms vs enumeration n<=10",
-           drain(sweeps.sweep_formulas(10, 4)))
-
-
-def test_criterion_4_phi_bijection():
-    report(4, "insertion bijection roundtrips n<=10",
-           drain(sweeps.sweep_phi(10, 4)))
-
-
-def test_criterion_5_macmahon():
-    report(5, "maj = inv = q-multinomial n<=8",
-           drain(sweeps.sweep_macmahon(8)))
-
-
-def test_criterion_6_flex():
-    universal = drain(sweeps.sweep_flex_universal(10))
-    equidist = drain(sweeps.sweep_flex_maj(8, 8))
-    merged = {
-        "holds": universal["holds"] and equidist["holds"],
-        "instances_checked": (universal["instances_checked"]
-                              + equidist["instances_checked"]),
-        "failures": universal["failures"] + equidist["failures"],
-    }
-    report(6, "flex universal + flex/maj equidistribution", merged)
-
-
-def test_criterion_7_subset_suite():
-    parts = [drain(sweeps.sweep_multisubset(10)),
-             drain(sweeps.sweep_subset_star(10)),
-             drain(sweeps.sweep_chains(12)),
-             drain(sweeps.sweep_g_dd(12)),
-             drain(sweeps.sweep_action_isomorphism(12)),
-             drain(sweeps.sweep_mbs(8))]
-    merged = {
-        "holds": all(p["holds"] for p in parts),
-        "instances_checked": sum(p["instances_checked"] for p in parts),
-        "failures": [f for p in parts for f in p["failures"]],
-    }
-    report(7, "subset and multisubset suite", merged)
+    print(f"\ncriterion 1: golden examples in {elapsed:.3f}s")
+    assert ok and elapsed < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +166,5 @@ def test_criterion_8_period_calculus():
         if orbit_gf(b, b // a) * f != f * (b // a):
             failures.append(("v", a, b))
 
-    # the generating function period proposition at full desk scale
-    prop = drain(sweeps.sweep_period_g(8, 4))
-    merged = {
-        "holds": not failures and prop["holds"],
-        "instances_checked": 4 * cases + prop["instances_checked"],
-        "failures": failures + prop["failures"],
-    }
-    report(8, "periodicity calculus (4 x 1000 random + period-g sweep)", merged)
-
-
-def test_criterion_9_vandermonde():
-    report(9, "content-class convolution identity n<=10",
-           drain(sweeps.sweep_vandermonde(10, 4)))
+    assert not failures, f"period calculus failed: first failure {failures[0]}"
+    print(f"\ncriterion 8: checked {4 * cases} random period identities")

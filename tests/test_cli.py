@@ -230,6 +230,13 @@ def test_zero_part_of_alpha_exits_2_for_every_word_theorem(capsys, name):
     assert err == "error: alpha must be a non-empty strong composition\n"
 
 
+def test_zero_part_of_alpha_exits_2_for_gf_with_delta(capsys):
+    # gf --delta passes the gate of verify
+    code, out, err = run(capsys, "gf", "--alpha", "2,0,2", "--delta", "0,0,2", "--formula")
+    assert_usage_error(code, out, err)
+    assert err == "error: alpha must be a non-empty strong composition\n"
+
+
 def test_a_class_rotation_leaves_fails_with_a_closure_witness(capsys, monkeypatch):
     # a step that sorts the word takes 1212 out of W((2,2), (0,2)); extension
     # builds its subgroup action from the same step

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from csieve import formulas
-from csieve.formulas import (count_w_alpha_delta, feasible_deltas, flatten,
+from csieve.formulas import (count_w_alpha_delta, feasible_deltas,
                              is_nonempty, macmahon_check, maj_gf_mod_n, params,
                              period_g_check, tilde_maj_gf,
                              tilde_maj_gf_alternative, vandermonde_check,
@@ -17,8 +17,7 @@ from csieve.words import cdt_groups, maj, strong_compositions
 
 
 def test_params_derived_quantities():
-    p = params(*flatten((2, 0, 2, 0, 4), (0, 0, 2, 0, 2)))
-    assert (p.alpha, p.delta) == ((2, 2, 4), (0, 2, 2))
+    p = params((2, 2, 4), (0, 2, 2))
     assert (p.n, p.k, p.m) == (8, 4, 3)
     assert p.d == 4
 
@@ -32,13 +31,6 @@ def test_params_eta():
     p = params((2, 2), (0, 2))
     # eta = n - alpha_1 + C(k,2) + sum C(delta_l, 2) = 2 + 1 + 1
     assert p.eta == 4
-
-
-def test_flatten():
-    assert flatten((2, 0, 2), (0, 0, 1)) == ((2, 2), (0, 1))
-    assert flatten((2, 0, 2), (0,)) == ((2, 2), (0, 0))
-    # a positive delta over an absent letter survives, so params rejects it
-    assert flatten((2, 0, 2), (0, 1, 1)) == ((2, 0, 2), (0, 1, 1))
 
 
 def test_is_nonempty_matches_enumeration():
@@ -115,7 +107,7 @@ def test_verify_formula_vs_oracle_instances():
 def test_verify_main_theorem_instances():
     assert verify_main_theorem((2, 2), (0, 2)).holds
     # the running example's class, letters compressed to 1, 2, 3
-    assert verify_main_theorem(*flatten((2, 0, 2, 0, 4), (0, 0, 2, 0, 2))).holds
+    assert verify_main_theorem((2, 2, 4), (0, 2, 2)).holds
 
 
 def test_vandermonde_golden():
