@@ -13,8 +13,8 @@ from typing import Iterator, NamedTuple
 
 from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
                       check_extension_hypotheses)
-from .qpoly import (IntPoly, ONE, ZERO, ResiduePoly, monomial, poly_mul, poly_reverse,
-                    q_binomial, q_multichoose, q_multinomial, has_period, orbit_gf, reduce)
+from .qpoly import (IntPoly, ResiduePoly, monomial, poly_mul, q_binomial, q_multichoose,
+                    q_multinomial, has_period, orbit_gf, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
                     inv, is_strong, maj, necklace as necklace_of)
 
@@ -138,23 +138,6 @@ def tilde_maj_gf(alpha, delta) -> IntPoly:
     for falls, d, runs, reps in p.factors():
         out = poly_mul(poly_mul(out, q_binomial(falls, d)), q_multichoose(runs, reps))
     return out
-
-
-def tilde_maj_gf_alternative(alpha, delta) -> tuple[int, IntPoly]:
-    """The same generating function in its other product form: the
-    multichoose factors evaluated at 1/q, handled as coefficient reversal
-    with an explicit power-of-q offset.  Returns (shift, poly) meaning
-    q^shift * poly, where shift may be negative before cancellation."""
-    p = params(alpha, delta)
-    if not is_nonempty(alpha, delta):
-        return 0, ZERO
-    shift = 0
-    out = ONE
-    for falls, d, runs, reps in p.factors():
-        mch = q_multichoose(runs, reps)
-        shift += runs * (d + reps) - (len(mch) - 1)
-        out = poly_mul(poly_mul(out, q_binomial(falls, d)), poly_reverse(mch))
-    return shift, out
 
 
 def maj_gf_mod_n(alpha, delta) -> ResiduePoly:

@@ -63,64 +63,6 @@ def run_segments(w) -> list[Segment]:
 
 
 # ---------------------------------------------------------------------------
-# one letter at a time, for any word and letter
-
-def _insertion_index(w: Word, seg: Segment, slot: int) -> int:
-    """Linear 0-based index for inserting into a segment after `slot`
-    letters.  A slot between positions n and 1 goes to the beginning."""
-    n = len(w)
-    if slot == 0:
-        return seg[0] - 1
-    a = seg[slot - 1]
-    return 0 if a == n else a
-
-
-def _insert_one_fall(w: Word, letter: int, f: int) -> Word:
-    segs = _segments(len(w), _fall_ends(w))
-    if not 0 <= f < len(segs):
-        raise ValueError(f"no fall with index {f}")
-    seg = segs[f]
-    letters = [w[p - 1] for p in seg]
-    if letter in letters:
-        raise ValueError(f"letter {letter} already appears in fall {f}")
-    slot = sum(1 for x in letters if x > letter)
-    i = _insertion_index(w, seg, slot)
-    return w[:i] + (letter,) + w[i:]
-
-
-def _insert_one_run(w: Word, letter: int, r: int) -> Word:
-    segs = _segments(len(w), _run_ends(w))
-    if not 0 <= r < len(segs):
-        raise ValueError(f"no run with index {r}")
-    seg = segs[r]
-    letters = [w[p - 1] for p in seg]
-    slot = sum(1 for x in letters if x < letter)
-    i = _insertion_index(w, seg, slot)
-    return w[:i] + (letter,) + w[i:]
-
-
-def insert_into_falls(w, letter: int, falls: Iterable[int]) -> Word:
-    """Insert `letter` into the listed falls (a set of fall indices), one
-    fall at a time, re-reading the falls after each insertion."""
-    w = as_word(w)
-    falls = sorted(falls)
-    if len(set(falls)) != len(falls):
-        raise ValueError("fall indices must be distinct")
-    for f in falls:
-        w = _insert_one_fall(w, letter, f)
-    return w
-
-
-def insert_into_runs(w, letter: int, runs: Iterable[int]) -> Word:
-    """Insert `letter` into the listed runs (a multiset of run indices), one
-    run at a time, re-reading the runs after each insertion."""
-    w = as_word(w)
-    for r in sorted(runs):
-        w = _insert_one_run(w, letter, r)
-    return w
-
-
-# ---------------------------------------------------------------------------
 # a new largest letter into a word ending in 1, all falls or runs at once
 #
 # A new largest letter opens a fall (it goes right after the weak ascent
@@ -198,41 +140,34 @@ def _maj_increment(c: int, falls: Sequence[int], runs: Sequence[int]) -> int:
 
 def phi(w) -> PhiImage:
     """Edge labels (F_l, R_l) for l = 2..m of the unique insertion path
-    building w; requires w ending in 1 with strong content."""
+    building w; requires w ending in 1 in which every letter 1..max(w)
+    occurs.  Each recovered step is checked by re-inserting its labels."""
     w = as_word(w)
     if not w or w[-1] != 1:
         raise ValueError("phi requires a word ending in 1")
     if not is_strong(content(w)):
-        raise ValueError("phi requires strong content; flatten first")
+        raise ValueError("phi requires every letter 1..max(w) to occur")
     out = []
     for letter in range(max(w), 1, -1):
-        w, falls, runs = _recover_triple(w, letter)
+        prev, falls, runs = _recover_labels(w, letter)
+        try:
+            rebuilt = insert_triple(prev, letter, falls, runs)
+        except ValueError:
+            rebuilt = None
+        if rebuilt != w:
+            raise RuntimeError(f"labels {falls}, {runs} recovered for letter {letter} "
+                               f"do not rebuild {w}; invariant violated")
         out.append((falls, runs))
+        w = prev
     return tuple(reversed(out))
 
 
-def _recover_triple(cur: Word, letter: int):
-    """(prev, F, R) with insert_triple(prev, letter, F, R) == cur, where
-    letter is the largest letter of cur and prev omits it: the labels of
-    _recover_labels, checked by re-insertion.  Opening the falls F of prev
-    must give a word inside cur, as closing runs only adds letters; closing
-    the runs R of that word must give cur.  The criterion-4 walk calls the
-    core alone: it compares the labels with the edge that built cur, and
-    when they agree, re-inserting them gives cur by construction."""
-    prev, falls, runs = _recover_labels(cur, letter)
-    w_prime = _open_falls(prev, _fall_ends(prev), letter, falls)
-    rest = iter(cur)
-    if not all(x in rest for x in w_prime):
-        raise RuntimeError("fall recovery failed; invariant violated")
-    if _close_runs(w_prime, _run_ends(w_prime), letter, runs) != cur:
-        raise RuntimeError("run recovery failed; invariant violated")
-    return prev, falls, runs
-
-
 def _recover_labels(cur: Word, letter: int):
-    """The labels (prev, F, R) of the edge into cur, in one scan of cur and
-    without the checks of _recover_triple.  cur ends in 1, so no block of
-    `letter` wraps around, and the gap before prev[0] is a weak ascent.
+    """The labels (prev, F, R) of the edge into cur, in one scan of cur,
+    where letter is the largest letter of cur and prev omits it.  phi
+    checks them by re-insertion; the criterion-4 walk compares them with
+    the edge that built cur.  cur ends in 1, so no block of `letter` wraps
+    around, and the gap before prev[0] is a weak ascent.
 
     A block sits in the gap j between prev[j-1] and prev[j].  Let D count
     the descents of prev in the gaps 1..j-1.  In a weak ascent the block

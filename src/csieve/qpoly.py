@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 IntPoly = tuple[int, ...]
 
@@ -81,11 +81,6 @@ def poly_divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     if r:
         raise ValueError("inexact polynomial division")
     return q
-
-
-def poly_reverse(a: IntPoly) -> IntPoly:
-    """Coefficient reversal: q^deg * a(1/q)."""
-    return normalize(reversed(a))
 
 
 def poly_text(coeffs: Iterable[int]) -> str:
@@ -189,15 +184,6 @@ class ResiduePoly(_ResidueFields):
     @staticmethod
     def zero(n: int) -> "ResiduePoly":
         return ResiduePoly(n, (0,) * n)
-
-    @staticmethod
-    def from_terms(n: int, terms: Mapping[int, int]) -> "ResiduePoly":
-        """Build from exponent -> coefficient; exponents may be any integer
-        (the Laurent boundary: q^-s folds to q^((n-s) mod n))."""
-        out = [0] * n
-        for e, c in terms.items():
-            out[e % n] += c
-        return ResiduePoly(n, tuple(out))
 
     def _check(self, other: "ResiduePoly"):
         if self.n != other.n:

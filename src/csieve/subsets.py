@@ -373,10 +373,6 @@ def _sorted_mbs(a: IndexTuple, n: int) -> int:
     return sum(maxima) + len(maxima)
 
 
-def block_maxima_count(delta, n: int) -> int:
-    return len(_block_maxima(tuple(sorted(set(delta))), n))
-
-
 def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
     """Size-k subsets of Z/n (0-based) with exactly b cyclic blocks."""
     for a in enumerate_subsets(n, k):
@@ -407,9 +403,3 @@ def verify_mbs_csp(n: int, k: int, b: int, carrier=None) -> Verdict:
         return Verdict(True, None)
     return check_csp(global_action(n, n, carrier),
                      brute_gf(carrier, n, lambda a: _sorted_mbs(a, n)))
-
-
-def subset_from_two_letter_word(w) -> IndexTuple:
-    """Positions (0-based) of the 2's; the transport between two-letter
-    words and cyclic subsets."""
-    return tuple(i for i, x in enumerate(w) if x == 2)

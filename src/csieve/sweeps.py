@@ -98,8 +98,8 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     default, from words_ending_in_one), each built once.  maj is taken
     once per node, and cdes once per node with children.
 
-    The walk recovers each edge with _recover_labels, the core of phi's
-    step without its re-insertion checks: the child was built from exactly
+    The walk recovers each edge with _recover_labels, phi's step without
+    its re-insertion check: the child was built from exactly
     (parent, falls, runs), so when the recovered triple equals that,
     re-inserting it gives the child by construction, and when it differs
     the comparison fails.  A recovery witness holds what phi's step reads

@@ -1,4 +1,4 @@
-"""Words over the positive integers: statistics, rotation, necklaces.
+"""Words over the positive integers: statistics and necklaces.
 
 A word is a tuple of letters >= 1.  All statistic outputs use 1-based
 positions.  Compositions are plain tuples of non-negative integers.
@@ -145,17 +145,7 @@ def cdt(w) -> Composition:
 
 
 # ---------------------------------------------------------------------------
-# rotation and necklaces
-
-def rotate(w: Iterable[int], steps: int) -> Word:
-    """One positive step moves the last letter to the front."""
-    w = tuple(w)
-    n = len(w)
-    if n == 0:
-        return w
-    s = steps % n
-    return w[-s:] + w[:-s] if s else w
-
+# necklaces
 
 class Necklace(NamedTuple):
     """The rotation class of a word.  An immutable named tuple of its four

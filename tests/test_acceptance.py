@@ -14,8 +14,7 @@ from math import gcd
 import pytest
 
 from csieve import cli, formulas, sweeps
-from csieve.insertion import (insert_into_falls, insert_into_runs, leaves,
-                              phi, power_image)
+from csieve.insertion import insert_triple, leaves, phi, power_image
 from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
                           refold)
 from csieve.subsets import (enumerate_g_de, enumerate_g_chain, enumerate_s_kb,
@@ -77,9 +76,8 @@ def test_criterion_1_golden_examples():
         (2, 3, 1, 1, 1), (1, 2, 3, 1, 1), (1, 1, 2, 3, 1)}
 
     base = as_word([2, 6, 5, 3, 4, 6, 1, 1])
-    mid = insert_into_falls(base, 7, [0, 3])
-    ok &= mid == as_word([7, 2, 6, 5, 3, 4, 7, 6, 1, 1])
-    ok &= insert_into_runs(mid, 7, [0, 2, 3, 3]) == as_word(
+    ok &= insert_triple(base, 7, [0, 3], []) == as_word([7, 2, 6, 5, 3, 4, 7, 6, 1, 1])
+    ok &= insert_triple(base, 7, [0, 3], [0, 2, 3, 3]) == as_word(
         [7, 7, 2, 6, 5, 7, 3, 4, 7, 7, 7, 6, 1, 1])
 
     u = (2, 1, 1, 3, 3, 2, 3, 1, 1)
@@ -97,7 +95,7 @@ def test_criterion_1_golden_examples():
     for a in carrier:
         tally[mbs(a, 5)] = tally.get(mbs(a, 5), 0) + 1
     ok &= tally == {4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
-    f = ResiduePoly.from_terms(5, tally)
+    f = formulas.brute_gf(carrier, 5, lambda a: mbs(a, 5))
     ok &= evaluate_at_root(f, 1) == 0 and evaluate_at_root(f, 0) == 5
 
     ok &= set(enumerate_g_de(4, 2, 2, 1)) == {(0, 2), (0, 3), (1, 2), (1, 3)}
@@ -107,7 +105,7 @@ def test_criterion_1_golden_examples():
     for a in family:
         sums[sum_prime(a)] = sums.get(sum_prime(a), 0) + 1
     ok &= sums == {1: 1, 2: 2, 3: 1}                       # q + 2q^2 + q^3
-    ok &= ResiduePoly.from_terms(2, sums) == ResiduePoly(2, (2, 2))
+    ok &= formulas.brute_gf(family, 2, sum_prime) == ResiduePoly(2, (2, 2))
     ok &= rotate_within_intervals((0, 0, 0, 2, 2, 3), 4, 4) == (0, 1, 1, 1, 3, 3)
 
     elapsed = time.monotonic() - start

@@ -1,0 +1,65 @@
+"""Every function and class in src/csieve has a caller in the package.
+
+Code that only tests call belongs in the tests, as a reference the package
+is compared with.  A definition passes when the package refers to it
+outside its own body, when the benchmark's tracer wraps it, or when the
+allowlist below names it with its reason."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csieve"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+ALLOWED = {
+    "power_image": "phi of a power; the sweep of the power structure will call it",
+    "shift_bijection": "the Wagon-Wilf shift; its sweep will call it",
+    "rotate_global": "the one-subset form of global_action's step",
+    "mbs": "the statistic's public form, for subsets in any order",
+    "_make": "the NamedTuple hook that _replace calls",
+}
+
+
+def definitions(tree: ast.Module):
+    """(name, node) for each module-level function or class and each
+    method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, ast.FunctionDef)
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield member.name, member
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name or attribute name is used under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def uncalled(allowed) -> list[str]:
+    """module.name of each definition the package does not refer to
+    outside its own body, that the tracer does not wrap and that
+    `allowed` does not name."""
+    import tracing
+    traced = {attribute for _, _, attribute, _ in tracing._targets()}
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    return [f"{module}.{name}" for module, tree in trees.items()
+            for name, node in definitions(tree)
+            if name not in traced and name not in allowed
+            and used[name] == references(node)[name]]
+
+
+def test_every_definition_has_a_caller(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert uncalled(ALLOWED) == []
+
+
+def test_every_allowed_name_is_a_definition_without_a_caller(monkeypatch):
+    # an entry whose name gained a caller, or lost its definition, is stale
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert {name.rsplit(".", 1)[1] for name in uncalled({})} == set(ALLOWED)

@@ -7,12 +7,11 @@ import pytest
 from csieve import formulas
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas,
                              is_nonempty, macmahon_check, maj_gf_mod_n, params,
-                             period_g_check, tilde_maj_gf,
-                             tilde_maj_gf_alternative, vandermonde_check,
+                             period_g_check, tilde_maj_gf, vandermonde_check,
                              verify_flex_maj_equidistribution,
                              verify_flex_universal, verify_formula_vs_oracle,
                              verify_main_theorem)
-from csieve.qpoly import ResiduePoly, monomial, orbit_gf, poly_mul, reduce
+from csieve.qpoly import ResiduePoly, monomial, orbit_gf, reduce
 from csieve.words import cdt_groups, maj, strong_compositions
 
 
@@ -71,15 +70,6 @@ def test_tilde_gf_golden():
     # W_{(2,2),(0,2)} ending in 1 is just 2121, with maj = 1 + 3
     assert tilde_maj_gf((2, 2), (0, 2)) == monomial(4)
     assert tilde_maj_gf((1, 1), (0, 0)) == ()
-
-
-def test_tilde_gf_alternative_form_agrees():
-    for alpha in [(2, 2), (3, 1, 1), (2, 2, 2), (4, 2, 3)]:
-        for delta in feasible_deltas(alpha):
-            # the pair (shift, poly) encodes q^shift * poly
-            shift, poly = tilde_maj_gf_alternative(alpha, delta)
-            assert poly_mul(monomial(max(-shift, 0)), tilde_maj_gf(alpha, delta)) \
-                == poly_mul(monomial(max(shift, 0)), poly)
 
 
 def test_maj_gf_mod_n_golden():

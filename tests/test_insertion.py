@@ -1,5 +1,7 @@
 """Falls, runs, insertion, and the bijection between words ending in 1 and
-their insertion labels."""
+their insertion labels.  The paper's insertion, one letter into one fall or
+run at a time, is defined here as the reference insert_triple is compared
+with."""
 
 import itertools
 from math import prod
@@ -11,7 +13,6 @@ from csieve import insertion
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas, is_nonempty,
                              maj_gf_mod_n, tilde_maj_gf)
 from csieve.insertion import (fall_segments, image_multiplicity_words,
-                              insert_into_falls, insert_into_runs,
                               insert_triple, insertion_tree, label_spaces,
                               leaves, phi, phi_inverse, power_image,
                               predicted_maj_increment, run_segments)
@@ -23,6 +24,47 @@ from csieve.words import as_word, cdt_groups, content, maj, strong_compositions
 def letters_of(w, seg):
     return [w[p - 1] for p in seg]
 
+
+# ---------------------------------------------------------------------------
+# the paper's insertion, one letter at a time, re-reading the segments
+
+def insert_into_segment(w, letter, seg, slot):
+    """w with `letter` inserted into the segment seg after `slot` of its
+    letters.  A slot between positions n and 1 goes to the beginning."""
+    if slot == 0:
+        i = seg[0] - 1
+    else:
+        i = 0 if seg[slot - 1] == len(w) else seg[slot - 1]
+    return w[:i] + (letter,) + w[i:]
+
+
+def insert_into_falls(w, letter, falls):
+    """Insert `letter` into the listed falls (a set of fall indices), one
+    fall at a time, re-reading the falls after each insertion."""
+    w = as_word(w)
+    if len(set(falls)) != len(falls):
+        raise ValueError("fall indices must be distinct")
+    for f in sorted(falls):
+        seg = fall_segments(w)[f]
+        letters = letters_of(w, seg)
+        if letter in letters:
+            raise ValueError(f"letter {letter} already appears in fall {f}")
+        w = insert_into_segment(w, letter, seg, sum(x > letter for x in letters))
+    return w
+
+
+def insert_into_runs(w, letter, runs):
+    """Insert `letter` into the listed runs (a multiset of run indices), one
+    run at a time, re-reading the runs after each insertion."""
+    w = as_word(w)
+    for r in sorted(runs):
+        seg = run_segments(w)[r]
+        w = insert_into_segment(w, letter, seg, sum(x < letter for x in letters_of(w, seg)))
+    return w
+
+
+# ---------------------------------------------------------------------------
+# worked examples
 
 def test_segments_worked_example():
     w = as_word([2, 6, 5, 3, 4, 6, 1, 1])
@@ -44,6 +86,7 @@ def test_insertion_worked_example():
     assert w1 == as_word([7, 2, 6, 5, 3, 4, 7, 6, 1, 1])
     w2 = insert_into_runs(w1, 7, [0, 2, 3, 3])
     assert w2 == as_word([7, 7, 2, 6, 5, 7, 3, 4, 7, 7, 7, 6, 1, 1])
+    assert insert_triple(w, 7, [0, 3], [0, 2, 3, 3]) == w2
 
 
 def test_insert_triple_guards():
@@ -71,31 +114,34 @@ def test_phi_golden_images():
     assert phi((2, 2, 2, 1, 1, 2, 3, 3, 1, 1)) == (((0, 2), (0, 0)), ((), (1, 1)))
 
 
-@pytest.mark.parametrize("wrong, message", [
-    (lambda prev, falls, runs: (prev, tuple(f + 1 for f in falls), runs),
-     "fall recovery failed"),
-    (lambda prev, falls, runs: (prev, falls, tuple(r - 1 for r in runs)),
-     "run recovery failed")])
-def test_phi_checks_its_recovered_labels_by_reinsertion(monkeypatch, wrong, message):
-    # the last step of the golden word recovers falls (2,) and runs (1, 2)
+@pytest.mark.parametrize("wrong", [
+    lambda prev, falls, runs: (prev, tuple(f + 1 for f in falls), runs),
+    lambda prev, falls, runs: (prev, falls, tuple(r - 1 for r in runs)),
+    lambda prev, falls, runs: (prev, tuple(f + 9 for f in falls), runs),
+    lambda prev, falls, runs: (prev, falls, tuple(r + 9 for r in runs))],
+    ids=["fall-plus-1", "run-minus-1", "fall-out-of-range", "run-out-of-range"])
+def test_phi_checks_its_recovered_labels_by_reinsertion(monkeypatch, wrong):
+    # the last step of the golden word recovers falls (2,) and runs (1, 2);
+    # a label out of range is a fault of phi too, not an IndexError
     real = insertion._recover_labels
     monkeypatch.setattr(insertion, "_recover_labels",
                         lambda cur, letter: wrong(*real(cur, letter)))
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match="do not rebuild"):
         phi((2, 1, 1, 3, 3, 2, 3, 1, 1))
 
 
 def test_the_recovery_core_reads_every_edge_of_every_tree():
     # the labels the criterion-4 walk reads without re-insertion are the
-    # edge's own, and phi's self-checked step agrees
+    # edge's own, and phi, which checks each step by re-insertion, returns
+    # the path of every node
     for alpha in iter_contents(7, 4):
         for delta in feasible_deltas(alpha):
             for parent, path, w in insertion_tree(alpha, delta):
                 if parent is not None:
                     letter = len(path) + 1
-                    assert (insertion._recover_labels(w, letter)
-                            == insertion._recover_triple(w, letter)
-                            == (parent, *path[-1])), (alpha, delta, w)
+                    assert insertion._recover_labels(w, letter) == (parent, *path[-1]), \
+                        (alpha, delta, w)
+                    assert phi(w) == path, (alpha, delta, w)
 
 
 def test_phi_of_squared_word():

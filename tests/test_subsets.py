@@ -7,14 +7,13 @@ import pytest
 
 from csieve import subsets
 from csieve.actions import OrbitDecomposition
+from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root
-from csieve.subsets import (block_maxima_count, enumerate_g_chain,
-                            enumerate_g_de, enumerate_m_alpha,
+from csieve.subsets import (enumerate_g_chain, enumerate_g_de, enumerate_m_alpha,
                             enumerate_s_alpha, enumerate_s_kb, global_action,
                             interval_action, interval_profile, mbs, rotate_global,
-                            rotate_within_intervals, shift_bijection,
-                            subset_from_two_letter_word, sum_prime, sum_star,
-                            validate_chain, verify_chain_refinement,
+                            rotate_within_intervals, shift_bijection, sum_prime,
+                            sum_star, validate_chain, verify_chain_refinement,
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
@@ -115,8 +114,7 @@ def test_chain_family_and_gf():
     for a in family:
         tally[sum_prime(a)] = tally.get(sum_prime(a), 0) + 1
     assert tally == {1: 1, 2: 2, 3: 1}
-    folded = ResiduePoly.from_terms(2, tally)
-    assert folded == ResiduePoly(2, (2, 2))
+    assert brute_gf(family, 2, sum_prime) == ResiduePoly(2, (2, 2))
 
 
 def test_gcd_families_are_the_filter_definition():
@@ -196,10 +194,10 @@ def test_shift_bijection_raises_sum_prime_by_e():
 def test_mbs_values():
     # subsets of Z/5 with blocks {0} and {2,3}: maxima 0+1 and 3+1
     assert mbs((0, 2, 3), 5) == 5
-    assert block_maxima_count((0, 2, 3), 5) == 2
+    assert subsets._block_maxima((0, 2, 3), 5) == [0, 3]
     # a block wrapping through n-1 to 0 has its maximum inside
     assert mbs((0, 4), 5) == 1
-    assert block_maxima_count((0, 4), 5) == 1
+    assert subsets._block_maxima((0, 4), 5) == [0]
 
 
 def test_set_free_block_count_equals_the_set_definition():
@@ -211,8 +209,8 @@ def test_set_free_block_count_equals_the_set_definition():
         for k in range(n + 1):
             for a in itertools.combinations(range(n), k):
                 want = maxima(a, n)
+                assert subsets._block_maxima(a, n) == sorted(want)
                 for order in (a, a[::-1]):
-                    assert block_maxima_count(order, n) == len(want)
                     assert mbs(order, n) == sum(x + 1 for x in want)
                 assert subsets._sorted_mbs(a, n) == sum(x + 1 for x in want)
             for b in range(k + 1):
@@ -270,12 +268,8 @@ def test_mbs_golden_gf():
         tally[mbs(a, 5)] = tally.get(mbs(a, 5), 0) + 1
     # the unreduced distribution is q^4 + q^5 + q^6 + q^7 + q^8
     assert tally == {4: 1, 5: 1, 6: 1, 7: 1, 8: 1}
-    f = ResiduePoly.from_terms(5, tally)
+    f = brute_gf(carrier, 5, lambda a: mbs(a, 5))
+    assert f == ResiduePoly(5, (1, 1, 1, 1, 1))
     assert evaluate_at_root(f, 1) == 0
     assert evaluate_at_root(f, 0) == 5
     assert verify_mbs_csp(5, 3, 2).holds
-
-
-def test_two_letter_transport():
-    assert subset_from_two_letter_word((1, 2, 1, 2)) == (1, 3)
-    assert subset_from_two_letter_word((1, 1)) == ()

@@ -89,8 +89,8 @@ def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
     assert sorted(child) == sorted(insert_triple(parent, letter, witness["falls"],
                                                  witness["runs"]))
     assert child[-1] == 1
-    # what phi's step reads from the child alone, self-checks included
-    assert witness["recovered"] == insertion._recover_triple(child, letter)
+    # what phi's step reads from the child alone
+    assert witness["recovered"] == insertion._recover_labels(child, letter)
     assert witness["recovered"] != (parent, witness["falls"], witness["runs"])
 
 
