@@ -145,8 +145,12 @@ def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
     (d/alpha_1) (q^n-1)/(q^d-1) times the tilde generating function.  As
     (q^n-1)/(q^d-1) = sum_{i<n/d} q^(id), multiplying by it mod q^n - 1
     folds the tilde function mod q^d - 1 and tiles the fold n/d times."""
-    p = params(alpha, delta)
-    folded = [c * p.d for c in reduce(tilde_maj_gf(alpha, delta), p.d).coeffs]
+    return _fold_tilde(params(alpha, delta), tilde_maj_gf(alpha, delta))
+
+
+def _fold_tilde(p: InstanceParams, tilde: IntPoly) -> ResiduePoly:
+    """maj_gf_mod_n of the instance p from its tilde generating function."""
+    folded = [c * p.d for c in reduce(tilde, p.d).coeffs]
     if any(c % p.alpha[0] for c in folded):
         raise RuntimeError("maj formula coefficients not divisible by alpha_1")
     return ResiduePoly(p.n, tuple(c // p.alpha[0] for c in folded) * (p.n // p.d))
@@ -249,8 +253,10 @@ def verify_extension(alpha, delta) -> Verdict:
 def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
     """Exact agreement of the closed forms with enumeration: the emptiness
     test, the count, the tilde generating function over the words ending
-    in 1, and the maj generating function mod q^n - 1.  A witness carries
-    the enumerated and the closed-form values that differ."""
+    in 1, and the maj generating function mod q^n - 1, folded from that
+    tilde function as maj_gf_mod_n folds it.  maj is taken once per word.
+    A witness carries the enumerated and the closed-form values that
+    differ."""
     p = params(alpha, delta)
     words = _word_class(p, words)
     nonempty = is_nonempty(alpha, delta)
@@ -261,12 +267,13 @@ def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
     if len(words) != count:
         return Verdict(False, {"check": "count", "enumerated": len(words),
                                "formula": count})
-    tilde = tally(maj(w) for w in words if w[-1] == 1)
+    majs = list(map(maj, words))
+    tilde = tally(v for w, v in zip(words, majs) if w[-1] == 1)
     formula = tilde_maj_gf(alpha, delta)
     if tilde != formula:
         return Verdict(False, {"check": "tilde_maj_gf", "enumerated": tilde,
                                "formula": formula})
-    oracle, closed = brute_gf(words, p.n, maj), maj_gf_mod_n(alpha, delta)
+    oracle, closed = reduce(tally(majs), p.n), _fold_tilde(p, formula)
     if oracle != closed:
         return Verdict(False, {"check": "maj_gf_mod_n", "enumerated": oracle.coeffs,
                                "formula": closed.coeffs})

@@ -12,7 +12,9 @@ multisubset label spaces.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
+from operator import gt, le
 from typing import Iterable, Iterator, Sequence
 
 from .formulas import params
@@ -30,14 +32,12 @@ PhiImage = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 def _fall_ends(w: Word) -> list[int]:
     """1-based positions p with w_p <= w_{p+1} (cyclically): each ends a fall."""
-    n = len(w)
-    return [p for p in range(1, n + 1) if w[p - 1] <= w[p % n]]
+    return list(itertools.compress(range(1, len(w) + 1), map(le, w, w[1:] + w[:1])))
 
 
 def _run_ends(w: Word) -> list[int]:
     """1-based cyclic descent positions: each ends a run."""
-    n = len(w)
-    return [p for p in range(1, n + 1) if w[p - 1] > w[p % n]]
+    return list(itertools.compress(range(1, len(w) + 1), map(gt, w, w[1:] + w[:1])))
 
 
 def _segments(n: int, ends: list[int]) -> list[Segment]:
@@ -63,35 +63,27 @@ def run_segments(w) -> list[Segment]:
 
 
 # ---------------------------------------------------------------------------
-# a new largest letter into a word ending in 1, all falls or runs at once
+# a new largest letter into a word ending in 1, all falls and runs at once
 #
-# A new largest letter opens a fall (it goes right after the weak ascent
-# ending the previous fall) and closes a run (right after the descent ending
-# it).  Neither renumbers the falls or runs, which count from the one
-# holding position 1: that letter stays put unless a copy opens fall 0 at
-# position 1, and then the copy is in fall 0; a copy never closes a run at
-# position n, as no run of a word ending in 1 ends there.  So one reading of
-# the falls and one of the runs serve all the copies of the letter.
+# A new largest letter opens fall f by going into the weak ascent that ends
+# fall f - 1 (for fall 0, the gap before w_1, after the final 1), and closes
+# a run by going right after the descent that ends it.  Neither renumbers
+# the falls or runs, which count from the one holding position 1.  An
+# opened copy turns its weak ascent into a descent, so the runs of the
+# fall-opened word end at the descents of w and at the opened copies, in
+# the order of their gaps in w; a copy closing a run goes into the same gap
+# as the descent or the opened copy ending it.  So every copy's place is a
+# gap of w, worked out from one reading of w's fall ends and descents, and
+# all the copies go in with one call of _insert_before.
 
 def _insert_before(w: Word, letter: int, indices: Iterable[int]) -> Word:
     """w with one `letter` inserted before w[i] for each listed 0-based i;
-    a repeated i inserts repeated letters."""
-    out: list[int] = []
-    last = 0
-    for i in sorted(indices):
-        out += w[last:i]
-        out.append(letter)
-        last = i
-    out += w[last:]
+    a repeated i inserts repeated letters.  The insertions go from the
+    right, so each index still counts the letters of w."""
+    out = list(w)
+    for i in sorted(indices, reverse=True):
+        out.insert(i, letter)
     return tuple(out)
-
-
-def _open_falls(w: Word, fall_ends: list[int], letter: int, falls: Iterable[int]) -> Word:
-    return _insert_before(w, letter, [fall_ends[f - 1] % len(w) for f in falls])
-
-
-def _close_runs(w: Word, run_ends: list[int], letter: int, runs: Iterable[int]) -> Word:
-    return _insert_before(w, letter, [run_ends[r] % len(w) for r in runs])
 
 
 def insert_triple(w, letter: int, falls: Iterable[int], runs: Iterable[int]) -> Word:
@@ -113,15 +105,18 @@ def insert_triple(w, letter: int, falls: Iterable[int], runs: Iterable[int]) -> 
     # each opened fall adds a cyclic descent, hence a run
     if any(not 0 <= r < len(w) - len(fall_ends) + len(falls) for r in runs):
         raise ValueError("run index out of range")
-    return _insert_triple(w, fall_ends, letter, falls, runs)
+    return _insert_triple(w, fall_ends, _run_ends(w), letter, falls, runs)
 
 
-def _insert_triple(w: Word, fall_ends: list[int], letter: int,
+def _insert_triple(w: Word, fall_ends: list[int], descents: list[int], letter: int,
                    falls: Iterable[int], runs: Iterable[int]) -> Word:
-    """insert_triple on labels already known to be valid for w, whose
-    fall ends are given."""
-    w = _open_falls(w, fall_ends, letter, falls)
-    return _close_runs(w, _run_ends(w), letter, runs)
+    """insert_triple on labels already known to be valid for w, whose fall
+    ends and descents (its run ends) are given.  Each copy goes before the
+    0-based index of its gap in w, so the word is built in one insertion."""
+    n = len(w)
+    opened = [fall_ends[f - 1] % n for f in falls]
+    run_ends = sorted(descents + opened)
+    return _insert_before(w, letter, opened + [run_ends[r] for r in runs])
 
 
 def predicted_maj_increment(w, falls: Sequence[int], runs: Sequence[int]) -> int:
@@ -165,9 +160,11 @@ def phi(w) -> PhiImage:
 def _recover_labels(cur: Word, letter: int):
     """The labels (prev, F, R) of the edge into cur, in one scan of cur,
     where letter is the largest letter of cur and prev omits it.  phi
-    checks them by re-insertion; the criterion-4 walk compares them with
-    the edge that built cur.  cur ends in 1, so no block of `letter` wraps
-    around, and the gap before prev[0] is a weak ascent.
+    checks them by re-insertion; sweeps.verify_phi, the check of the
+    insertion bijection, compares them with the edge that built cur.  cur
+    ends in 1, so no block of `letter` wraps around, and the gap before
+    prev[0] is a weak ascent.  The scan reads _insert_triple backwards:
+    each block of copies fills one gap of prev.
 
     A block sits in the gap j between prev[j-1] and prev[j].  Let D count
     the descents of prev in the gaps 1..j-1.  In a weak ascent the block
@@ -202,14 +199,20 @@ def _recover_labels(cur: Word, letter: int):
     return tuple(prev), tuple(falls), tuple(runs)
 
 
-def label_spaces(alpha, delta):
-    """The per-letter label lists: for each l = 2..m, all fall sets
+def label_spaces(alpha, delta) -> list[tuple[tuple, tuple]]:
+    """The per-letter label tuples: for each l = 2..m, all fall sets
     (delta_l-subsets of the falls of the previous stage) and all run
-    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A list
+    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A tuple
     is empty exactly when its factor vanishes."""
-    return [(list(itertools.combinations(range(falls), d)),
-             list(itertools.combinations_with_replacement(range(runs), reps)))
-            for falls, d, runs, reps in params(alpha, delta).factors()]
+    return [_factor_labels(*factor) for factor in params(alpha, delta).factors()]
+
+
+@lru_cache(maxsize=1024)
+def _factor_labels(falls: int, d: int, runs: int, reps: int) -> tuple[tuple, tuple]:
+    """The labels of one factor of InstanceParams.factors(); many
+    instances share a factor."""
+    return (tuple(itertools.combinations(range(falls), d)),
+            tuple(itertools.combinations_with_replacement(range(runs), reps)))
 
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:
@@ -229,31 +232,51 @@ def phi_inverse(image: PhiImage, alpha, delta) -> Word:
     return w
 
 
+def _expansions(root: Word, spaces: list[tuple[tuple, tuple]]
+                ) -> Iterator[tuple[PhiImage, Word, list]]:
+    """Depth-first walk, on an explicit stack, of the insertion tree from
+    the root 1^alpha_1 whose edges below depth l are labelled by
+    spaces[l], the label_spaces of its instance.
+
+    Yields (path, word, edges) for every node with children, starting at
+    the root with an empty path: path holds the labels of the edges from
+    the root, and edges lists (falls, runs, child) for every child, every
+    run multiset of the first fall set first, then of the next.  The
+    children are built from one reading of the node's fall ends and
+    descents, as insert_triple would build them; the labels are valid by
+    construction, so insert_triple's checks are skipped.  The nodes come
+    in preorder, each subtree before the next sibling's."""
+    depth = len(spaces)
+    stack = [((), root)] if depth else []
+    while stack:
+        path, w = stack.pop()
+        letter = len(path) + 2
+        fall_ends, descents = _fall_ends(w), _run_ends(w)
+        fall_sets, run_sets = spaces[len(path)]
+        edges = [(falls, runs, _insert_triple(w, fall_ends, descents, letter, falls, runs))
+                 for falls in fall_sets for runs in run_sets]
+        yield path, w, edges
+        if len(path) + 1 < depth:
+            stack += [(path + ((falls, runs),), child)
+                      for falls, runs, child in reversed(edges)]
+
+
 def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]:
-    """Depth-first walk of the insertion tree of the words of content alpha
-    and cyclic descent type delta ending in 1.
-
-    Yields (parent, path, word) for every node in preorder: first the root
-    1^alpha_1 with parent None and an empty path, then each child, built
-    once from its parent along the edge labelled path[-1], as insert_triple
-    would build it.  The labels come from label_spaces, so they are valid
-    by construction: the walk reads each node's falls once for all its
-    children and skips insert_triple's checks.  The leaves are the nodes
-    whose path has len(alpha) - 1 labels; by the bijection, their path is
-    their phi image."""
+    """Every node of the insertion tree of the words of content alpha and
+    cyclic descent type delta ending in 1, as (parent, path, word): first
+    the root 1^alpha_1 with parent None and an empty path, then, for each
+    node that _expansions yields, all its children, each built once from
+    its parent along the edge labelled path[-1].  Every node comes after
+    its parent, but the order is not preorder: all the children of a node
+    come before any grandchild.  The leaves are the nodes whose path has
+    len(alpha) - 1 labels; by the bijection, their path is their phi
+    image."""
     p = params(alpha, delta)
-    per_letter = [list(itertools.product(fs, rs)) for fs, rs in label_spaces(p.alpha, p.delta)]
-
-    def visit(parent, path, w):
-        yield parent, path, w
-        if len(path) < len(per_letter):
-            letter = len(path) + 2
-            fall_ends = _fall_ends(w)
-            for falls, runs in per_letter[len(path)]:
-                yield from visit(w, path + ((falls, runs),),
-                                 _insert_triple(w, fall_ends, letter, falls, runs))
-
-    return visit(None, (), (1,) * p.alpha[0])
+    root = (1,) * p.alpha[0]
+    return itertools.chain([(None, (), root)], (
+        (w, path + ((falls, runs),), child)
+        for path, w, edges in _expansions(root, label_spaces(p.alpha, p.delta))
+        for falls, runs, child in edges))
 
 
 def leaves(alpha, delta) -> Iterator[Word]:

@@ -12,7 +12,7 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import _maj_increment, _recover_labels, insertion_tree
+from .insertion import _expansions, _factor_labels, _maj_increment, _recover_labels
 from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
@@ -21,7 +21,7 @@ from .subsets import (subsets_by_blocks, verify_chain_refinement, verify_g_dd_tr
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
 from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
-                    necklaces_over, pad_to, strong_compositions)
+                    necklaces_over, strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -68,35 +68,47 @@ def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
 
 
 def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
-    """The words of strong content alpha that end in 1, grouped by padded
-    cyclic descent type: brute-force enumeration, independent of insertion."""
+    """The words of strong content alpha that end in 1, grouped by cyclic
+    descent type: brute-force enumeration (every word, by Algorithm L),
+    independent of insertion.  Level l of cdt reads only the letters <= l,
+    so levels 1..m-1 are cdt of the word without its letters m, taken once
+    per distinct such restriction, and level m is what is left of the
+    word's cyclic descents."""
     alpha = tuple(alpha)
     m = len(alpha)
+    lower: dict[Word, tuple] = {}    # restriction -> (its cdt, the cdt's sum)
     groups: dict[tuple, set[Word]] = {}
     for u in enumerate_by_content((alpha[0] - 1,) + alpha[1:]):
         w = u + (1,)
-        groups.setdefault(pad_to(cdt(w), m), set()).add(w)
+        restriction = tuple([x for x in w if x < m])
+        known = lower.get(restriction)
+        if known is None:
+            levels = cdt(restriction)
+            known = lower[restriction] = levels, sum(levels)
+        groups.setdefault(known[0] + (cdes(w) - known[1],), set()).add(w)
     return groups
 
 
-def _edge_failure(check: str, parent: Word, letter: int, labels, child: Word,
+def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Word,
                   **found) -> Verdict:
     """A failing verdict on one edge of an insertion tree, with what
     rebuilds the child: insert_triple(parent, letter, falls, runs)."""
-    falls, runs = labels
     return Verdict(False, {"check": check, "parent": parent, "letter": letter,
                            "falls": falls, "runs": runs, "child": child, **found})
 
 
 def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
-    """The insertion bijection on one instance, in one walk of its tree.
-    On every edge (parent, letter, falls, runs, child) the triple recovered
-    from the child is (parent, falls, runs), and the predicted maj increment
-    matches the actual change.  phi folds that recovery from a leaf to the
-    root, so by induction phi of every leaf returns the labels of its path.
-    Last, the leaves are exactly the `enumerated` words ending in 1 (by
-    default, from words_ending_in_one), each built once.  maj is taken
-    once per node, and cdes once per node with children.
+    """The insertion bijection on one instance, in one walk of its tree
+    (insertion._expansions).  On every edge (parent, letter, falls, runs,
+    child) the triple recovered from the child is (parent, falls, runs),
+    and the predicted maj increment matches the actual change.  phi folds
+    that recovery from a leaf to the root, so by induction phi of every
+    leaf returns the labels of its path.  Last, the leaves are exactly the
+    `enumerated` words ending in 1 (by default, from words_ending_in_one),
+    each built once.  maj is taken once per node, and cdes once per node
+    with children.  As |F| + |R| = alpha_l, the predicted increment
+    _maj_increment(cdes(parent), F, R) is _maj_increment(0, F, R), taken
+    once per label, plus cdes(parent) * alpha_l.
 
     The walk recovers each edge with _recover_labels, phi's step without
     its re-insertion check: the child was built from exactly
@@ -107,38 +119,44 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     p = params(alpha, delta)
     if enumerated is None:
         enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
-    depth = p.m - 1
-    # On a preorder walk the latest node one level up is the parent.
-    node_maj = [0] * (depth + 1)
-    node_cdes = [0] * depth
-    built: set[Word] = set()
-    leaf_count = 0
-    extra = None        # the first leaf built twice or not enumerated
-    for parent, path, w in insertion_tree(p.alpha, p.delta):
+    spaces = [_factor_labels(*factor) for factor in p.factors()]
+    depth = len(spaces)
+    # the increments below each depth, in the order of _expansions' edges
+    increments = [[_maj_increment(0, falls, runs) for falls in fall_sets for runs in run_sets]
+                  for fall_sets, run_sets in spaces]
+    root = (1,) * p.alpha[0]
+    node_maj = {root: maj(root)}     # the maj of every node with children
+    leaves = [] if depth else [root]
+    for path, w, edges in _expansions(root, spaces):
         level = len(path)
-        node_maj[level] = maj(w)
-        if level < depth:
-            node_cdes[level] = cdes(w)
-        if parent is not None:
-            letter = level + 1
-            falls, runs = path[-1]
-            recovered = _recover_labels(w, letter)
-            if recovered != (parent, falls, runs):
-                return _edge_failure("recovery", parent, letter, path[-1], w,
+        letter = level + 2
+        w_maj = node_maj[w]
+        shift = cdes(w) * p.alpha[level + 1]
+        for (falls, runs, child), base in zip(edges, increments[level]):
+            recovered = _recover_labels(child, letter)
+            if recovered != (w, falls, runs):
+                return _edge_failure("recovery", w, letter, falls, runs, child,
                                      recovered=recovered)
-            predicted = _maj_increment(node_cdes[level - 1], falls, runs)
-            actual = node_maj[level] - node_maj[level - 1]
-            if actual != predicted:
-                return _edge_failure("maj-increment", parent, letter, path[-1], w,
-                                     predicted=predicted, actual=actual)
-        if level == depth:
-            if extra is None and (w in built or w not in enumerated):
+            child_maj = maj(child)
+            if child_maj - w_maj != base + shift:
+                return _edge_failure("maj-increment", w, letter, falls, runs, child,
+                                     predicted=base + shift, actual=child_maj - w_maj)
+            if level + 1 == depth:
+                leaves.append(child)
+            else:
+                node_maj[child] = child_maj
+    built = set(leaves)
+    extra = None        # the first leaf built twice or not enumerated
+    if len(built) < len(leaves) or not built <= enumerated:
+        seen: set[Word] = set()
+        for w in leaves:
+            if w in seen or w not in enumerated:
                 extra = w
-            built.add(w)
-            leaf_count += 1
+                break
+            seen.add(w)
     missing = min(enumerated - built, default=None)
     if extra is not None or missing is not None:
-        return Verdict(False, {"check": "leaf-set", "built": leaf_count,
+        return Verdict(False, {"check": "leaf-set", "built": len(leaves),
                                "enumerated": len(enumerated),
                                "missing": missing, "extra": extra})
     return Verdict(True, None)

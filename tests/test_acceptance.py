@@ -2,18 +2,20 @@
 
 Every theorem of sweeps.THEOREMS with a sweep is checked through
 `csieve verify` over the sweep's default bounds, which are its acceptance
-range, and the test prints the line the CLI prints.  Criterion 1 checks
+range, and the test prints the line the CLI prints; each row of MUTANTS
+must fail under its mutation.  Criterion 1 checks
 golden examples, criterion 8 the period calculus on seeded random
 residues.  Every check is exact (tolerance zero).
 """
 
+import json
 import random
 import time
 from math import gcd
 
 import pytest
 
-from csieve import cli, formulas, sweeps
+from csieve import cli, formulas, insertion, sweeps
 from csieve.insertion import insert_triple, leaves, phi, power_image
 from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
                           refold)
@@ -28,6 +30,40 @@ INSTANCES = {"main": 786, "tilde-gf": 2895, "phi": 2895, "macmahon": 255,
              "vandermonde": 385, "period-g": 786, "flex-universal": 9503,
              "flex-maj": 2534, "multisubset": 3373, "subset-star": 1317,
              "chain": 207, "g-dd": 299, "action-isomorphism": 166, "mbs": 164}
+
+
+def _times_q(real):
+    return lambda *args: real(*args).shift(1)
+
+
+def _constant_term_plus_one(real):
+    def mutant(*args):
+        f = real(*args)
+        return ResiduePoly(f.n, (f.coeffs[0] + 1,) + f.coeffs[1:])
+    return mutant
+
+
+def _fall_copy_one_gap_late(real):
+    # the copy opening the first listed fall goes one gap of the parent late
+    def mutant(w, fall_ends, descents, letter, falls, runs):
+        if falls:
+            fall_ends = list(fall_ends)
+            fall_ends[falls[0] - 1] += 1
+        return real(w, fall_ends, descents, letter, falls, runs)
+    return mutant
+
+
+# A mutation for a theorem row, keyed like INSTANCES: the module attribute
+# it replaces, the replacement made from the real one, a small --n-max, and
+# the failing and the checked instance counts there, pinned so that a
+# weakened check shows.  A q-shift keeps every period, so period-g's mutant
+# breaks one instead; vandermonde and tilde-gf catch the shift.
+MUTANTS = {
+    "tilde-gf": (formulas, "_fold_tilde", _times_q, 8, 27, 786),
+    "vandermonde": (formulas, "maj_gf_mod_n", _times_q, 8, 19, 162),
+    "period-g": (formulas, "maj_gf_mod_n", _constant_term_plus_one, 8, 778, 786),
+    "phi": (insertion, "_insert_triple", _fall_copy_one_gap_late, 6, 129, 160),
+}
 
 
 def swept_theorems() -> list[str]:
@@ -56,6 +92,17 @@ def test_theorem_sweep(capsys, monkeypatch, name):
     assert code == 0
     assert out == f"{name}: checked {INSTANCES.get(name)} instance(s), holds=True\n"
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_theorem_sweep_fails_under_its_mutant(capsys, monkeypatch, name):
+    module, attribute, mutate, n_max, failing, checked = MUTANTS[name]
+    monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    code = cli.main(["verify", name, "--n-max", str(n_max), "--format", "json",
+                     "--failures-only"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (len(report["failures"]), report["instances_checked"]) == (failing, checked)
 
 
 def test_criterion_1_golden_examples():

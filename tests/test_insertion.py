@@ -131,9 +131,9 @@ def test_phi_checks_its_recovered_labels_by_reinsertion(monkeypatch, wrong):
 
 
 def test_the_recovery_core_reads_every_edge_of_every_tree():
-    # the labels the criterion-4 walk reads without re-insertion are the
-    # edge's own, and phi, which checks each step by re-insertion, returns
-    # the path of every node
+    # the labels that the phi check (sweeps.verify_phi) reads without
+    # re-insertion are the edge's own, and phi, which checks each step by
+    # re-insertion, returns the path of every node
     for alpha in iter_contents(7, 4):
         for delta in feasible_deltas(alpha):
             for parent, path, w in insertion_tree(alpha, delta):
@@ -242,13 +242,20 @@ def one_index_at_a_time(w, letter, falls, runs):
     return w
 
 
-@settings(max_examples=60, deadline=None)
-@given(instances())
-def test_batched_insertion_matches_one_index_at_a_time(instance):
-    for parent, path, w in insertion_tree(*instance):
-        if parent is not None:
-            falls, runs = path[-1]
-            assert w == one_index_at_a_time(parent, len(path) + 1, falls, runs)
+def test_batched_insertion_matches_one_index_at_a_time():
+    # every edge of every tree with n <= 7 and at most 4 parts: the one-pass
+    # insertion against the paper's, one letter into one fall or run at a
+    # time, re-reading the segments
+    edges = 0
+    for alpha in iter_contents(7, 4):
+        for delta in feasible_deltas(alpha):
+            for parent, path, w in insertion_tree(alpha, delta):
+                if parent is not None:
+                    falls, runs = path[-1]
+                    assert w == one_index_at_a_time(parent, len(path) + 1, falls, runs), \
+                        (alpha, delta, parent, path[-1])
+                    edges += 1
+    assert edges == 4829
 
 
 @settings(max_examples=60, deadline=None)

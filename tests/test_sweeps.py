@@ -1,15 +1,17 @@
 """The sweeps and their witnesses, which carry enough to reproduce a
-failure: the criterion-4 walk of each insertion tree, and the closed
+failure: the walk of each insertion tree that checks phi, and the closed
 forms against enumeration."""
 
 import inspect
 import itertools
+from collections import Counter
 
 import pytest
 
 from csieve import formulas, insertion, sweeps
 from csieve.insertion import insert_triple, phi
-from csieve.words import cdt_groups, maj, necklace
+from csieve.words import (cdt, cdt_groups, enumerate_by_content, maj, necklace,
+                          strong_compositions)
 
 
 def test_sweep_phi_small():
@@ -22,6 +24,40 @@ def test_words_ending_in_one_groups_by_cdt():
     groups = sweeps.words_ending_in_one((3, 1, 1))
     assert groups[(0, 1, 0)] == {(2, 3, 1, 1, 1), (1, 2, 3, 1, 1), (1, 1, 2, 3, 1)}
     assert sum(len(ws) for ws in groups.values()) == 12    # 5!/(3! 1! 1!) * 3/5
+
+
+def test_words_ending_in_one_equals_grouping_by_cdt():
+    # every strong content with n <= 8: the lower levels taken once per
+    # restriction, against cdt of each word
+    for n in range(1, 9):
+        for parts in range(1, n + 1):
+            for alpha in strong_compositions(n, parts):
+                expected = {}
+                for u in enumerate_by_content((alpha[0] - 1,) + alpha[1:]):
+                    expected.setdefault(cdt(u + (1,)), set()).add(u + (1,))
+                assert sweeps.words_ending_in_one(alpha) == expected, alpha
+
+
+def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
+    # deterministic work counts on one instance: cdt once per distinct
+    # restriction (a word of content (2, 3, 2) followed by 1), the fall ends
+    # of each node with children read once, maj taken once per node
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [(sweeps, "cdt"), (sweeps, "maj"), (insertion, "_fall_ends")]:
+        count(module, name)
+    assert sweeps.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
+    # 7! / (2! 3! 2!) restrictions; the tree has 6, 12 and 20 labels per
+    # letter, so 1, 6, 72 and 1440 nodes by depth
+    assert calls == {"cdt": 210, "_fall_ends": 1 + 6 + 72, "maj": 1 + 6 + 72 + 1440}
 
 
 def test_maj_increment_witness(monkeypatch):
@@ -55,8 +91,8 @@ def test_recovery_witness(monkeypatch):
 def test_an_insert_that_drops_a_copy_fails(monkeypatch):
     real = insertion._insert_triple
 
-    def drop_one_copy(w, fall_ends, letter, falls, runs):
-        child = list(real(w, fall_ends, letter, falls, runs))
+    def drop_one_copy(w, fall_ends, descents, letter, falls, runs):
+        child = list(real(w, fall_ends, descents, letter, falls, runs))
         del child[child.index(letter)]
         return tuple(child)
 
@@ -70,15 +106,16 @@ def test_an_insert_that_drops_a_copy_fails(monkeypatch):
 
 
 def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
-    # the first copy opening a fall goes one place late, then the runs are
-    # closed on that word: the content and the final 1 stay
-    def move_a_fall_copy(w, fall_ends, letter, falls, runs):
-        opened = list(insertion._open_falls(w, fall_ends, letter, falls))
+    # the copy opening the first listed fall goes one gap of the parent
+    # late, and the runs close around it there: the content and the final
+    # 1 stay
+    real = insertion._insert_triple
+
+    def move_a_fall_copy(w, fall_ends, descents, letter, falls, runs):
         if falls:
-            i = opened.index(letter)
-            opened[i:i + 2] = opened[i + 1], letter
-        opened = tuple(opened)
-        return insertion._close_runs(opened, insertion._run_ends(opened), letter, runs)
+            fall_ends = list(fall_ends)
+            fall_ends[falls[0] - 1] += 1
+        return real(w, fall_ends, descents, letter, falls, runs)
 
     monkeypatch.setattr(insertion, "_insert_triple", move_a_fall_copy)
     verdict = sweeps.verify_phi((3, 1, 2), (0, 1, 1))
@@ -104,9 +141,10 @@ def test_leaf_set_witness():
 
 
 def test_formula_witness_carries_both_coefficient_tuples(monkeypatch):
-    real = formulas.maj_gf_mod_n
-    monkeypatch.setattr(formulas, "maj_gf_mod_n",
-                        lambda alpha, delta: real(alpha, delta).shift(1))
+    # the check folds the tilde function it has already compared, through
+    # the fold maj_gf_mod_n makes
+    real = formulas._fold_tilde
+    monkeypatch.setattr(formulas, "_fold_tilde", lambda p, tilde: real(p, tilde).shift(1))
     report = sweeps.run_sweep(sweeps.sweep_formulas(3, 2))
     assert report["holds"] is False
     failure = report["failures"][0]
@@ -114,7 +152,9 @@ def test_formula_witness_carries_both_coefficient_tuples(monkeypatch):
     words = cdt_groups(alpha)[delta]
     assert witness == {"check": "maj_gf_mod_n",
                        "enumerated": formulas.brute_gf(words, sum(alpha), maj).coeffs,
-                       "formula": real(alpha, delta).shift(1).coeffs}
+                       "formula": formulas.maj_gf_mod_n(alpha, delta).coeffs}
+    assert witness["formula"] == real(formulas.params(alpha, delta),
+                                      formulas.tilde_maj_gf(alpha, delta)).shift(1).coeffs
     assert witness["enumerated"] != witness["formula"]
 
 
