@@ -12,7 +12,6 @@ multisubset label spaces.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import comb
 from operator import gt, le
 from typing import Iterable, Iterator, Sequence
@@ -204,15 +203,9 @@ def label_spaces(alpha, delta) -> list[tuple[tuple, tuple]]:
     (delta_l-subsets of the falls of the previous stage) and all run
     multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A tuple
     is empty exactly when its factor vanishes."""
-    return [_factor_labels(*factor) for factor in params(alpha, delta).factors()]
-
-
-@lru_cache(maxsize=1024)
-def _factor_labels(falls: int, d: int, runs: int, reps: int) -> tuple[tuple, tuple]:
-    """The labels of one factor of InstanceParams.factors(); many
-    instances share a factor."""
-    return (tuple(itertools.combinations(range(falls), d)),
-            tuple(itertools.combinations_with_replacement(range(runs), reps)))
+    return [(tuple(itertools.combinations(range(falls), d)),
+             tuple(itertools.combinations_with_replacement(range(runs), reps)))
+            for falls, d, runs, reps in params(alpha, delta).factors()]
 
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:

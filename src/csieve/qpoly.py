@@ -259,16 +259,7 @@ def evaluate_at_root(f: ResiduePoly, k: int):
     polynomial of omega_n^k is constant.
     """
     m = f.n // math.gcd(f.n, k % f.n) if k % f.n else 1
-    return _value_at_root(f.coeffs, m)
-
-
-@lru_cache(maxsize=1024)
-def _value_at_root(coeffs: tuple[int, ...], m: int):
-    """evaluate_at_root at a root of order m, which only the residue of f
-    mod Phi_m decides.  Phi_m divides q^m - 1, so f is folded mod q^m - 1
-    first, and the division is of degree below m.  Method 1 of the CSP
-    check meets the same residue at the same order many times."""
-    _, rem = poly_divmod(reduce(coeffs, m).to_intpoly(), cyclotomic(m))
+    _, rem = poly_divmod(f.to_intpoly(), cyclotomic(m))
     if len(rem) > 1:
         return None
     return rem[0] if rem else 0

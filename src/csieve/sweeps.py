@@ -12,7 +12,7 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import _expansions, _factor_labels, _maj_increment, _recover_labels
+from .insertion import _expansions, _maj_increment, _recover_labels, label_spaces
 from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
@@ -119,7 +119,7 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     p = params(alpha, delta)
     if enumerated is None:
         enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
-    spaces = [_factor_labels(*factor) for factor in p.factors()]
+    spaces = label_spaces(p.alpha, p.delta)
     depth = len(spaces)
     # the increments below each depth, in the order of _expansions' edges
     increments = [[_maj_increment(0, falls, runs) for falls in fall_sets for runs in run_sets]

@@ -243,11 +243,11 @@ def one_index_at_a_time(w, letter, falls, runs):
 
 
 def test_batched_insertion_matches_one_index_at_a_time():
-    # every edge of every tree with n <= 7 and at most 4 parts: the one-pass
+    # every edge of every tree with n <= 7, any number of parts: the one-pass
     # insertion against the paper's, one letter into one fall or run at a
     # time, re-reading the segments
     edges = 0
-    for alpha in iter_contents(7, 4):
+    for alpha in STRONG_CONTENTS:
         for delta in feasible_deltas(alpha):
             for parent, path, w in insertion_tree(alpha, delta):
                 if parent is not None:
@@ -255,7 +255,7 @@ def test_batched_insertion_matches_one_index_at_a_time():
                     assert w == one_index_at_a_time(parent, len(path) + 1, falls, runs), \
                         (alpha, delta, parent, path[-1])
                     edges += 1
-    assert edges == 4829
+    assert edges == 15754
 
 
 @settings(max_examples=60, deadline=None)
