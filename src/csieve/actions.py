@@ -154,7 +154,13 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     """Dual cyclic sieving check for the triple (carrier, C_n, f).  A step
     that leaves the carrier fails it with a closure witness: the element
     and its image.  An f whose modulus is not n, or an orbit whose size
-    does not divide n, raises WrongOrder."""
+    does not divide n, raises WrongOrder.
+
+    Neither method pays for what it already knows: at k = 0 the fixed
+    points are the whole carrier, and f(1) is the sum of f's coefficients
+    (`evaluate_at_root` at order 1), so a check of order 1 divides no
+    polynomial; method 2 reads each orbit's size once and compares the
+    coefficients one by one only to name the first that differs."""
     n = a.order
     if f.n != n:
         raise WrongOrder("polynomial modulus must equal the action order")
@@ -164,15 +170,16 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
         return exc.verdict()
 
     # Method 1: the fixed points of every power step^k against f(omega^k),
-    # evaluated once per order m of omega^k.
+    # evaluated once per order m of omega^k.  step^0 fixes the whole
+    # carrier, and step^1 is the successor itself.
     witness1 = None
     identity = range(len(perm))
-    current = list(identity)        # step^k as an index list
+    current = perm                  # step^k as an index list, for k >= 1
     values = {}                     # m -> f at a primitive m-th root of unity
     for k in range(n):
-        if k:
+        if k > 1:
             current = list(map(perm.__getitem__, current))
-        fixed = sum(map(eq, current, identity))
+        fixed = sum(map(eq, current, identity)) if k else len(perm)
         m = n // gcd(n, k)
         if m not in values:
             values[m] = evaluate_at_root(f, k)
@@ -185,7 +192,8 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     # Method 2: congruence with the orbit generating function sum, one
     # orbit_gf per distinct orbit size, which must divide n.
     counts = {}
-    for size in orbits(a).sizes:
+    for orbit in orbits(a).orbits:
+        size = len(orbit)
         counts[size] = counts.get(size, 0) + 1
     expected = [0] * n
     for size, count in counts.items():
@@ -194,10 +202,11 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
         for i, c in enumerate(orbit_gf(n, size).coeffs):
             expected[i] += count * c
     witness2 = None
-    for i, (have, want) in enumerate(zip(f.coeffs, expected)):
-        if have != want:
-            witness2 = {"exponent": i, "coefficient": have, "expected": want}
-            break
+    if f.coeffs != tuple(expected):
+        for i, (have, want) in enumerate(zip(f.coeffs, expected)):
+            if have != want:
+                witness2 = {"exponent": i, "coefficient": have, "expected": want}
+                break
 
     if (witness1 is None) != (witness2 is None):
         raise RuntimeError(

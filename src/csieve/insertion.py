@@ -16,7 +16,7 @@ from math import comb
 from operator import gt, le
 from typing import Iterable, Iterator, Sequence
 
-from .formulas import params
+from .formulas import InstanceParams, params
 from .words import Word, as_word, cdes, content, cdt, is_strong
 
 # A segment is a tuple of 1-based positions, cyclically consecutive in w.
@@ -203,9 +203,14 @@ def label_spaces(alpha, delta) -> list[tuple[tuple, tuple]]:
     (delta_l-subsets of the falls of the previous stage) and all run
     multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A tuple
     is empty exactly when its factor vanishes."""
+    return _label_spaces(params(alpha, delta))
+
+
+def _label_spaces(p: InstanceParams) -> list[tuple[tuple, tuple]]:
+    """`label_spaces` of an instance whose parameters are already built."""
     return [(tuple(itertools.combinations(range(falls), d)),
              tuple(itertools.combinations_with_replacement(range(runs), reps)))
-            for falls, d, runs, reps in params(alpha, delta).factors()]
+            for falls, d, runs, reps in p.factors()]
 
 
 def phi_inverse(image: PhiImage, alpha, delta) -> Word:
@@ -264,11 +269,12 @@ def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]
     come before any grandchild.  The leaves are the nodes whose path has
     len(alpha) - 1 labels; by the bijection, their path is their phi
     image."""
-    p = params(alpha, delta)
-    root = (1,) * p.alpha[0]
+    alpha = tuple(alpha)
+    spaces = label_spaces(alpha, delta)     # checks the instance
+    root = (1,) * alpha[0]
     return itertools.chain([(None, (), root)], (
         (w, path + ((falls, runs),), child)
-        for path, w, edges in _expansions(root, label_spaces(p.alpha, p.delta))
+        for path, w, edges in _expansions(root, spaces)
         for falls, runs, child in edges))
 
 

@@ -211,9 +211,6 @@ class ResiduePoly(_ResidueFields):
         s %= self.n
         return ResiduePoly(self.n, self.coeffs[-s:] + self.coeffs[:-s] if s else self.coeffs)
 
-    def to_intpoly(self) -> IntPoly:
-        return normalize(self.coeffs)
-
     def text(self) -> str:
         return poly_text(self.coeffs)
 
@@ -256,10 +253,16 @@ def evaluate_at_root(f: ResiduePoly, k: int):
 
     Returns an int when the value is an integer, else None ("non-integer"):
     the value is an integer iff the reduction of f modulo the minimal
-    polynomial of omega_n^k is constant.
+    polynomial Phi_m of omega_n^k, m = n / gcd(n, k), is constant.  At
+    m = 1 that value is f(1), the sum of the coefficients.  Otherwise f is
+    folded mod q^m - 1 first, which Phi_m divides, so only the m-term fold
+    is divided by Phi_m.
     """
-    m = f.n // math.gcd(f.n, k % f.n) if k % f.n else 1
-    _, rem = poly_divmod(f.to_intpoly(), cyclotomic(m))
+    m = f.n // math.gcd(f.n, k)
+    if m == 1:
+        return sum(f.coeffs)
+    fold = f.coeffs if m == f.n else reduce(f.coeffs, m).coeffs
+    _, rem = poly_divmod(fold, cyclotomic(m))
     if len(rem) > 1:
         return None
     return rem[0] if rem else 0

@@ -121,6 +121,31 @@ def enumerate_m_alpha(n: int, d: int, alpha) -> Iterator[IndexTuple]:
     yield from _enumerate_profile(n, d, alpha, itertools.combinations_with_replacement)
 
 
+def _by_profile(objects, n: int, d: int) -> dict[Composition, list[IndexTuple]]:
+    """The (multi)subsets bucketed by d-interval profile, each bucket in the
+    order the objects come."""
+    buckets: dict[Composition, list[IndexTuple]] = {}
+    for a in objects:
+        buckets.setdefault(interval_profile(a, n, d), []).append(a)
+    return buckets
+
+
+def multisubsets_by_profile(n: int, d: int, k: int) -> dict[Composition, list[IndexTuple]]:
+    """The k-multisubsets of [0, n-1] bucketed by d-interval profile, from
+    one pass of `enumerate_multisubsets`: the bucket of alpha is
+    enumerate_m_alpha(n, d, alpha), in the same (lexicographic) order, and
+    a profile with no multisubset has no bucket."""
+    _check_divides(n, d)
+    return _by_profile(enumerate_multisubsets(n, k), n, d)
+
+
+def subsets_by_profile(n: int, d: int, k: int) -> dict[Composition, list[IndexTuple]]:
+    """The k-subsets of [0, n-1] bucketed by d-interval profile, from one
+    pass of `enumerate_subsets`, like `multisubsets_by_profile`."""
+    _check_divides(n, d)
+    return _by_profile(enumerate_subsets(n, k), n, d)
+
+
 def _profiles(k: int, parts: int, unit: int, cap: int) -> Iterator[Composition]:
     """The compositions of k into `parts` parts, each a multiple of `unit`
     and at most `cap`, in lexicographic order."""
@@ -215,18 +240,23 @@ def global_action(n: int, d: int, carrier) -> CyclicAction:
     return CyclicAction(d, carrier, _table_step(_global_table(n, d, 1)))
 
 
-def verify_multisubset_refinement(n: int, d: int, alpha) -> Verdict:
-    """(multisubsets of profile alpha, interval C_d, Sum) is a CSP."""
-    carrier = tuple(enumerate_m_alpha(n, d, alpha))
+def verify_multisubset_refinement(n: int, d: int, alpha, carrier=None) -> Verdict:
+    """(multisubsets of profile alpha, interval C_d, Sum) is a CSP.  A
+    sweep that has already bucketed the k-multisubsets by profile passes
+    the bucket as the carrier; without it the verifier enumerates the
+    profile itself."""
+    carrier = tuple(enumerate_m_alpha(n, d, alpha) if carrier is None else carrier)
     if not carrier:
         return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum))
 
 
-def verify_subset_star(n: int, d: int, alpha) -> Verdict:
-    """(subsets of profile alpha, interval C_d, Sum*) is a CSP."""
+def verify_subset_star(n: int, d: int, alpha, carrier=None) -> Verdict:
+    """(subsets of profile alpha, interval C_d, Sum*) is a CSP.  The
+    carrier is a sweep's bucket or else enumerated, as in
+    `verify_multisubset_refinement`."""
     alpha = tuple(alpha)
-    carrier = tuple(enumerate_s_alpha(n, d, alpha))
+    carrier = tuple(enumerate_s_alpha(n, d, alpha) if carrier is None else carrier)
     if not carrier:
         return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier),

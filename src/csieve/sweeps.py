@@ -8,16 +8,19 @@ are the acceptance ranges.
 
 from __future__ import annotations
 
+import itertools
 from math import comb, gcd, prod
+from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import _expansions, _maj_increment, _recover_labels, label_spaces
+from .insertion import _expansions, _label_spaces, _maj_increment, _recover_labels
 from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
                        verify_formula_vs_oracle, verify_main_theorem)
-from .subsets import (subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
+from .subsets import (multisubsets_by_profile, subsets_by_blocks, subsets_by_profile,
+                      verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
 from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
@@ -119,7 +122,7 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     p = params(alpha, delta)
     if enumerated is None:
         enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
-    spaces = label_spaces(p.alpha, p.delta)
+    spaces = _label_spaces(p)
     depth = len(spaces)
     # the increments below each depth, in the order of _expansions' edges
     increments = [[_maj_increment(0, falls, runs) for falls in fall_sets for runs in run_sets]
@@ -213,35 +216,50 @@ def sweep_flex_maj(n_max: int = 8, max_parts: int | None = None) -> Iterator[Swe
 
 def compositions_with_parts(k: int, parts: int) -> Iterator[tuple]:
     """The weak compositions of k into `parts` parts, in lexicographic
-    order: the strong compositions of k + parts less 1 per part."""
-    for alpha in strong_compositions(k + parts, parts):
+    order: the gaps between 0, parts - 1 cut points chosen with repetition
+    from 0..k, and k."""
+    if not parts:
+        if not k:
+            yield ()
+        return
+    for cuts in itertools.combinations_with_replacement(range(k + 1), parts - 1):
         # a tuple built from a list is allocated at its size; one built from
-        # a generator is shrunk afterwards, fragmenting the kept sweep keys
-        yield tuple([a - 1 for a in alpha])
+        # an iterator is shrunk afterwards, fragmenting the kept sweep keys
+        yield tuple([*map(sub, cuts + (k,), (0,) + cuts)])
 
 
 def sweep_multisubset(n_max: int = 10) -> Iterator[SweepItem]:
+    """The interval CSP on the multisubsets of every profile alpha of
+    k <= K_MAX over the d-intervals of [0, n-1], d | n; the
+    k-multisubsets of each (n, d, k) are enumerated once and handed out
+    by profile bucket, as `sweep_mbs` does by block count."""
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             if n % d:
                 continue
             for k in range(0, K_MAX + 1):
+                buckets = multisubsets_by_profile(n, d, k)
                 for alpha in compositions_with_parts(k, n // d):
                     yield ({"n": n, "d": d, "alpha": alpha},
-                           verify_multisubset_refinement(n, d, alpha))
+                           verify_multisubset_refinement(n, d, alpha,
+                                                         buckets.get(alpha, ())))
 
 
 def sweep_subset_star(n_max: int = 10) -> Iterator[SweepItem]:
+    """The interval CSP with Sum* on the subsets of every profile alpha
+    with parts at most d, bucketed from one pass over the k-subsets of
+    each (n, d, k) like `sweep_multisubset`."""
     for n in range(1, n_max + 1):
         for d in range(1, n + 1):
             if n % d:
                 continue
             for k in range(0, K_MAX + 1):
+                buckets = subsets_by_profile(n, d, k)
                 for alpha in compositions_with_parts(k, n // d):
                     if any(a > d for a in alpha):
                         continue
                     yield ({"n": n, "d": d, "alpha": alpha},
-                           verify_subset_star(n, d, alpha))
+                           verify_subset_star(n, d, alpha, buckets.get(alpha, ())))
 
 
 def divisor_chains(n: int, k: int) -> Iterator[tuple]:

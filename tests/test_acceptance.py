@@ -15,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from csieve import cli, formulas, insertion, sweeps
+from csieve import cli, formulas, insertion, subsets, sweeps
 from csieve.insertion import insert_triple, leaves, phi, power_image
 from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
                           refold)
@@ -43,6 +43,15 @@ def _constant_term_plus_one(real):
     return mutant
 
 
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _global_table_of_one_interval(real):
+    # the order-d global rotation replaced by the identity: the table of d = 1
+    return lambda n, d, step: real(n, 1, step)
+
+
 def _fall_copy_one_gap_late(real):
     # the copy opening the first listed fall goes one gap of the parent late
     def mutant(w, fall_ends, descents, letter, falls, runs):
@@ -63,6 +72,11 @@ MUTANTS = {
     "vandermonde": (formulas, "maj_gf_mod_n", _times_q, 8, 19, 162),
     "period-g": (formulas, "maj_gf_mod_n", _constant_term_plus_one, 8, 778, 786),
     "phi": (insertion, "_insert_triple", _fall_copy_one_gap_late, 6, 129, 160),
+    "multisubset": (subsets, "brute_gf", _times_q, 8, 57, 1471),
+    "subset-star": (subsets, "brute_gf", _times_q, 8, 47, 522),
+    "mbs": (subsets, "_sorted_mbs", _plus_one, 8, 22, 164),
+    "action-isomorphism": (subsets, "_global_table", _global_table_of_one_interval,
+                           8, 45, 91),
 }
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csieve import subsets
+from csieve import qpoly, subsets
 from csieve.actions import (CyclicAction, NotClosed, Verdict, WrongOrder, check_csp,
                             check_extension_hypotheses, check_refinement, orbits,
                             restrict_to_subgroup)
@@ -285,3 +285,22 @@ def test_an_orbit_size_that_does_not_divide_the_order_is_a_fault(monkeypatch):
     assert sorted(orbits(action).sizes) == [3, 6, 6]
     with pytest.raises(WrongOrder, match="orbit size 6 does not divide the action order 3"):
         check_csp(action, brute_gf(carrier, 3, sum))
+
+
+def test_an_order_1_check_divides_no_polynomial(monkeypatch):
+    # f(1) is the sum of the coefficients and step^0 fixes the whole
+    # carrier, so a check of order 1 reads both without dividing, whether
+    # it holds or fails
+    qpoly.cyclotomic(2)     # cached before counting: building it divides too
+    calls = []
+    real = qpoly.poly_divmod
+    monkeypatch.setattr(qpoly, "poly_divmod", lambda a, b: calls.append(b) or real(a, b))
+    carrier = tuple(itertools.combinations_with_replacement(range(4), 2))
+    action = subsets.interval_action(4, 1, carrier)
+    assert check_csp(action, brute_gf(carrier, 1, sum)) == (True, None)
+    assert check_csp(action, ResiduePoly(1, (9,))) == (
+        False, {"k": 0, "fixed_points": 10, "evaluation": 9})
+    assert calls == []
+    # an order-2 check divides its two-term fold by Phi_2 = 1 + q
+    assert check_csp(subsets.interval_action(4, 2, carrier), brute_gf(carrier, 2, sum)).holds
+    assert calls == [(1, 1)]

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csieve.qpoly import (ONE, ZERO, ResiduePoly, cyclotomic, evaluate_at_root,
                           has_period, monomial, normalize, orbit_gf, poly_add,
@@ -152,3 +153,52 @@ def test_evaluate_at_root_against_complex_arithmetic():
                 assert abs(approx.imag) > 1e-9 or abs(approx.real - round(approx.real)) > 1e-9
             else:
                 assert abs(approx - exact) < 1e-6
+
+
+def unfolded_value(f: ResiduePoly, k: int):
+    """f at omega_n^k from the whole polynomial: its remainder modulo
+    Phi_m, m = n / gcd(n, k), taken without folding f first."""
+    m = f.n // math.gcd(f.n, k)
+    _, rem = poly_divmod(normalize(f.coeffs), cyclotomic(m))
+    if len(rem) > 1:
+        return None
+    return rem[0] if rem else 0
+
+
+@st.composite
+def residues(draw):
+    """A residue mod q^n - 1, n <= 24: random coefficients, a random
+    residue with a period (constant on the cosets of a divisor, so its
+    values at many roots are integers), or a monomial (a root of unity,
+    an integer only where it is 1 or -1)."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["random", "periodic", "monomial"]))
+    if kind == "random":
+        return ResiduePoly(n, tuple(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                                  max_size=n))))
+    if kind == "periodic":
+        g = draw(st.sampled_from([g for g in range(1, n + 1) if n % g == 0]))
+        base = draw(st.lists(st.integers(-3, 3), min_size=g, max_size=g))
+        return ResiduePoly(n, tuple(base[i % g] for i in range(n)))
+    return reduce(monomial(draw(st.integers(0, n - 1))), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residues())
+def test_the_fold_gives_the_value_of_the_unfolded_polynomial(f):
+    # evaluate_at_root folds f mod q^m - 1 (or sums it at m = 1) before
+    # dividing by Phi_m; the remainder of the whole f must agree at every k,
+    # a non-integer value (None) included
+    for k in range(f.n):
+        assert evaluate_at_root(f, k) == unfolded_value(f, k), (f, k)
+
+
+def test_the_fold_covers_integer_and_non_integer_values():
+    # q at every root of every order m <= 24: 1 at m = 1, -1 at m = 2, and
+    # no integer at any larger order
+    for n in range(1, 25):
+        f = reduce(monomial(1), n)
+        for k in range(n):
+            m = n // math.gcd(n, k)
+            want = {1: 1, 2: -1}.get(m)
+            assert evaluate_at_root(f, k) == unfolded_value(f, k) == want, (n, k)

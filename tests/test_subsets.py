@@ -17,7 +17,7 @@ from csieve.subsets import (enumerate_g_chain, enumerate_g_de, enumerate_m_alpha
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
-from csieve.sweeps import compositions_with_parts, divisor_chains
+from csieve.sweeps import K_MAX, compositions_with_parts, divisor_chains
 
 
 def test_statistics():
@@ -97,6 +97,26 @@ def test_profile_enumeration_equals_the_product_over_all_parts():
                         want = [tuple(join(p)) for p in itertools.product(*per_interval)]
                         got = list(subsets._enumerate_profile(n, d, alpha, chooser))
                         assert got == want, (n, d, alpha, chooser)
+
+
+@pytest.mark.parametrize("by_profile, enumerate_alpha", [
+    (subsets.multisubsets_by_profile, enumerate_m_alpha),
+    (subsets.subsets_by_profile, enumerate_s_alpha)])
+def test_profile_buckets_equal_the_single_instance_enumeration(by_profile, enumerate_alpha):
+    # the one pass per (n, d, k) the sweeps make, against the profile
+    # enumeration the single-instance path reads: the same members in the
+    # same order, and a bucket for exactly the nonempty profiles (a subset
+    # has at most d elements in a d-interval)
+    multisubsets = by_profile is subsets.multisubsets_by_profile
+    for n in range(1, 13):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for k in range(K_MAX + 1):
+                buckets = by_profile(n, d, k)
+                profiles = [alpha for alpha in compositions_with_parts(k, n // d)
+                            if multisubsets or max(alpha) <= d]
+                assert sorted(buckets) == profiles, (n, d, k)
+                for alpha in profiles:
+                    assert buckets[alpha] == list(enumerate_alpha(n, d, alpha)), (n, d, alpha)
 
 
 def test_gcd_families_worked_example():

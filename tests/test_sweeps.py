@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from csieve import formulas, insertion, sweeps
+from csieve import formulas, insertion, subsets, sweeps
 from csieve.insertion import insert_triple, phi
 from csieve.words import (cdt, cdt_groups, enumerate_by_content, maj, necklace,
                           strong_compositions)
@@ -58,6 +58,51 @@ def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
     # 7! / (2! 3! 2!) restrictions; the tree has 6, 12 and 20 labels per
     # letter, so 1, 6, 72 and 1440 nodes by depth
     assert calls == {"cdt": 210, "_fall_ends": 1 + 6 + 72, "maj": 1 + 6 + 72 + 1440}
+
+
+def test_compositions_with_parts_are_the_shifted_strong_compositions():
+    # a weak composition of k into p parts is a strong one of k + p less 1
+    # per part, in the same (lexicographic) order
+    for k in range(7):
+        for parts in range(13):
+            want = [tuple(a - 1 for a in alpha)
+                    for alpha in strong_compositions(k + parts, parts)]
+            assert list(sweeps.compositions_with_parts(k, parts)) == want, (k, parts)
+
+
+def test_the_phi_check_builds_its_parameters_once(monkeypatch):
+    # verify_phi builds the instance's parameters and hands them to the
+    # label spaces, which would otherwise build them again
+    def forbidden(alpha, delta):
+        raise AssertionError("the label spaces rebuilt the parameters")
+    monkeypatch.setattr(insertion, "params", forbidden)
+    assert sweeps.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
+
+
+@pytest.mark.parametrize("name, enumerator", [("multisubset", "enumerate_multisubsets"),
+                                              ("subset_star", "enumerate_subsets")])
+def test_the_profile_sweeps_enumerate_each_group_once(monkeypatch, name, enumerator):
+    # one pass over the k-(multi)subsets of [0, n-1] per (n, d, k), d | n,
+    # and no per-profile enumeration: 20 divisor pairs (n, d) at n <= 8,
+    # times the K_MAX + 1 values of k
+    passes = Counter()
+    real = getattr(subsets, enumerator)
+
+    def counted(n, k):
+        passes[n, k] += 1
+        return real(n, k)
+
+    def forbidden(*args):
+        raise AssertionError("a profile was enumerated on its own")
+
+    monkeypatch.setattr(subsets, enumerator, counted)
+    monkeypatch.setattr(subsets, "_enumerate_profile", forbidden)
+    report = sweeps.run_sweep(getattr(sweeps, f"sweep_{name}")(8))
+    assert report["holds"] is True
+    divisors = {n: sum(n % d == 0 for d in range(1, n + 1)) for n in range(1, 9)}
+    assert passes == {(n, k): divisors[n] for n in range(1, 9)
+                      for k in range(sweeps.K_MAX + 1)}
+    assert sum(passes.values()) == 20 * (sweeps.K_MAX + 1)
 
 
 def test_maj_increment_witness(monkeypatch):
