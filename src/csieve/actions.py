@@ -59,12 +59,12 @@ class NotClosed(ValueError):
                                "image": self.image})
 
 
-class NotBijective(ValueError):
+class NotBijective(RuntimeError):
     """A step maps two elements of the carrier to the same image: a fault
     of the action's construction, not a verdict on the carrier."""
 
 
-class WrongOrder(ValueError):
+class WrongOrder(RuntimeError):
     """An action checked against the wrong order: a polynomial whose
     modulus is not the action order, or a step with an orbit whose size
     does not divide it (so step^n is not the identity).  A fault of the
@@ -92,7 +92,7 @@ class CyclicAction:
         step(carrier[i]) == carrier[perm[i]].  The one place where `step`
         is applied, once per element and in one pass over the carrier:
         raises NotClosed for the first element in carrier order whose
-        image leaves the carrier, and NotBijective (a ValueError) for a
+        image leaves the carrier, and NotBijective (a RuntimeError) for a
         step that is not a bijection of the carrier.  Callers that need
         to know whether an element is fixed read perm[i] == i."""
         if self._successor is None:

@@ -3,7 +3,7 @@ theorem-verification sweeps with machine-readable output.
 
 Exit codes: 0 all checks hold, 1 a verification failed (witness in the
 output), 2 usage or validation error, 3 internal fault (any other
-exception, an action whose step is not a bijection, and an action checked
+exception, such as an action whose step is not a bijection or one checked
 against the wrong order), each error with one line on stderr.
 """
 
@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import formulas, sweeps
-from .actions import NotBijective, WrongOrder
 from .qpoly import poly_text, q_multinomial, reduce
 from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set, des,
                     descent_set, enumerate_by_content, flex, freq, inv, lex, maj, pad_to,
@@ -163,7 +162,7 @@ def _gf_formula(alpha, delta, stat, poly, n) -> dict:
     if stat != "maj":
         raise UsageError("--formula is only available for the maj statistic")
     if delta is None:
-        closed = q_multinomial(n, alpha)
+        closed = q_multinomial(alpha)
         return {"formula": poly_text(closed), "equal": poly == closed}
     closed = formulas.maj_gf_mod_n(alpha, delta)
     return {"formula": closed.text(), "formula_modulus": n,
@@ -314,9 +313,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotBijective, WrongOrder) as exc:   # ValueErrors, but raised by a faulty action
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

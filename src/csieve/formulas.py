@@ -293,7 +293,7 @@ def vandermonde_check(alpha) -> Verdict:
     if total != multinomial(alpha):
         return Verdict(False, {"check": "numeric", "sum": total,
                                "multinomial": multinomial(alpha)})
-    if gf_total != reduce(q_multinomial(n, alpha), n):
+    if gf_total != reduce(q_multinomial(alpha), n):
         return Verdict(False, {"check": "q-analogue"})
     return Verdict(True, None)
 
@@ -314,7 +314,7 @@ def macmahon_check(alpha) -> Verdict:
     q-multinomial coefficient."""
     alpha = strong_content(alpha)
     words = list(enumerate_by_content(alpha))
-    expected = q_multinomial(sum(alpha), alpha)
+    expected = q_multinomial(alpha)
     if tally(map(maj, words)) != expected:
         return Verdict(False, {"check": "maj"})
     if tally(map(inv, words)) != expected:

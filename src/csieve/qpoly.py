@@ -26,12 +26,10 @@ def normalize(coeffs: Iterable[int]) -> IntPoly:
     return tuple(c)
 
 
-def monomial(exponent: int, coeff: int = 1) -> IntPoly:
+def monomial(exponent: int) -> IntPoly:
     if exponent < 0:
         raise ValueError("negative exponent")
-    if coeff == 0:
-        return ZERO
-    return (0,) * exponent + (coeff,)
+    return (0,) * exponent + (1,)
 
 
 def poly_add(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -118,10 +116,8 @@ def q_binomial(a: int, b: int) -> IntPoly:
                     poly_mul(monomial(b), q_binomial(a - 1, b)))
 
 
-def q_multinomial(n: int, alpha: Iterable[int]) -> IntPoly:
-    alpha = tuple(alpha)
-    if sum(alpha) != n:
-        raise ValueError("alpha must be a composition of n")
+def q_multinomial(alpha: Iterable[int]) -> IntPoly:
+    """The q-multinomial coefficient of the composition alpha of sum(alpha)."""
     out = ONE
     prefix = 0
     for a in alpha:

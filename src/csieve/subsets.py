@@ -48,17 +48,17 @@ def interval_profile(a, n: int, d: int) -> Composition:
     return tuple(parts)
 
 
-# The actions as permutations of the universe [0, n-1], cached per
-# (n, d, step): the image of element x is table[x].
+# The actions' generators as permutations of the universe [0, n-1],
+# cached per (n, d): the image of element x is table[x].
 
 @lru_cache(maxsize=1024)
-def _interval_table(n: int, d: int, step: int) -> IndexTuple:
-    return tuple(d * (x // d) + (x % d + step) % d for x in range(n))
+def _interval_table(n: int, d: int) -> IndexTuple:
+    return tuple(d * (x // d) + (x % d + 1) % d for x in range(n))
 
 
 @lru_cache(maxsize=1024)
-def _global_table(n: int, d: int, step: int) -> IndexTuple:
-    return tuple((x + step * (n // d)) % n for x in range(n))
+def _global_table(n: int, d: int) -> IndexTuple:
+    return tuple((x + n // d) % n for x in range(n))
 
 
 def _table_step(table: IndexTuple):
@@ -72,17 +72,17 @@ def _table_step(table: IndexTuple):
     return step
 
 
-def rotate_within_intervals(a, n: int, d: int, step: int = 1) -> IndexTuple:
+def rotate_within_intervals(a, n: int, d: int) -> IndexTuple:
     """The interval action: every d-interval rotates forward simultaneously."""
     _check_divides(n, d)
-    return _table_step(_interval_table(n, d, step))(a)
+    return _table_step(_interval_table(n, d))(a)
 
 
-def rotate_global(a, n: int, d: int, step: int = 1) -> IndexTuple:
+def rotate_global(a, n: int, d: int) -> IndexTuple:
     """The subgroup action: the order-d subgroup of the full rotation,
     adding n/d to every element mod n."""
     _check_divides(n, d)
-    return _table_step(_global_table(n, d, step))(a)
+    return _table_step(_global_table(n, d))(a)
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +121,16 @@ def enumerate_m_alpha(n: int, d: int, alpha) -> Iterator[IndexTuple]:
     yield from _enumerate_profile(n, d, alpha, itertools.combinations_with_replacement)
 
 
-def _by_profile(objects, n: int, d: int) -> dict[Composition, list[IndexTuple]]:
-    """The (multi)subsets bucketed by d-interval profile, each bucket in the
-    order the objects come."""
+def by_profile(objects, n: int, d: int) -> dict[Composition, list[IndexTuple]]:
+    """The (multi)subsets of [0, n-1] bucketed by d-interval profile, each
+    bucket in the order the objects come.  Given every k-multisubset
+    (k-subset) in lexicographic order, the bucket of alpha is
+    enumerate_m_alpha(n, d, alpha) (enumerate_s_alpha), in the same order,
+    and the keys are exactly the profiles with a member."""
     buckets: dict[Composition, list[IndexTuple]] = {}
     for a in objects:
         buckets.setdefault(interval_profile(a, n, d), []).append(a)
     return buckets
-
-
-def multisubsets_by_profile(n: int, d: int, k: int) -> dict[Composition, list[IndexTuple]]:
-    """The k-multisubsets of [0, n-1] bucketed by d-interval profile, from
-    one pass of `enumerate_multisubsets`: the bucket of alpha is
-    enumerate_m_alpha(n, d, alpha), in the same (lexicographic) order, and
-    a profile with no multisubset has no bucket."""
-    _check_divides(n, d)
-    return _by_profile(enumerate_multisubsets(n, k), n, d)
-
-
-def subsets_by_profile(n: int, d: int, k: int) -> dict[Composition, list[IndexTuple]]:
-    """The k-subsets of [0, n-1] bucketed by d-interval profile, from one
-    pass of `enumerate_subsets`, like `multisubsets_by_profile`."""
-    _check_divides(n, d)
-    return _by_profile(enumerate_subsets(n, k), n, d)
 
 
 def _profiles(k: int, parts: int, unit: int, cap: int) -> Iterator[Composition]:
@@ -230,14 +217,14 @@ def interval_action(n: int, d: int, carrier) -> CyclicAction:
     of the universe permutation bound once, here; each step then only maps
     an element through the table and sorts the image."""
     _check_divides(n, d)
-    return CyclicAction(d, carrier, _table_step(_interval_table(n, d, 1)))
+    return CyclicAction(d, carrier, _table_step(_interval_table(n, d)))
 
 
 def global_action(n: int, d: int, carrier) -> CyclicAction:
     """`rotate_global` as an order-d action, its table bound once like
     `interval_action`'s."""
     _check_divides(n, d)
-    return CyclicAction(d, carrier, _table_step(_global_table(n, d, 1)))
+    return CyclicAction(d, carrier, _table_step(_global_table(n, d)))
 
 
 def verify_multisubset_refinement(n: int, d: int, alpha, carrier=None) -> Verdict:
@@ -254,13 +241,15 @@ def verify_multisubset_refinement(n: int, d: int, alpha, carrier=None) -> Verdic
 def verify_subset_star(n: int, d: int, alpha, carrier=None) -> Verdict:
     """(subsets of profile alpha, interval C_d, Sum*) is a CSP.  The
     carrier is a sweep's bucket or else enumerated, as in
-    `verify_multisubset_refinement`."""
+    `verify_multisubset_refinement`.  On one profile Sum* is Sum less a
+    constant, so its generating function is Sum's shifted by
+    sum_star((), alpha)."""
     alpha = tuple(alpha)
     carrier = tuple(enumerate_s_alpha(n, d, alpha) if carrier is None else carrier)
     if not carrier:
         return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier),
-                     brute_gf(carrier, d, lambda a: sum_star(a, alpha)))
+                     brute_gf(carrier, d, sum).shift(sum_star((), alpha)))
 
 
 def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
@@ -403,21 +392,21 @@ def _sorted_mbs(a: IndexTuple, n: int) -> int:
     return sum(maxima) + len(maxima)
 
 
-def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
-    """Size-k subsets of Z/n (0-based) with exactly b cyclic blocks."""
-    for a in enumerate_subsets(n, k):
-        if len(_block_maxima(a, n)) == b:
-            yield a
-
-
 def subsets_by_blocks(n: int, k: int) -> list[list[IndexTuple]]:
-    """The k-subsets of Z/n bucketed by their number of cyclic blocks,
-    each block-counted once: entry b is enumerate_s_kb(n, k, b), in the
-    same order, for b = 0..k (a k-subset has at most k blocks)."""
+    """The k-subsets of Z/n (0-based) bucketed by their number of cyclic
+    blocks, each block-counted once: entry b is S_{k,b}, in lexicographic
+    order, for b = 0..k (a k-subset has at most k blocks)."""
     buckets: list[list[IndexTuple]] = [[] for _ in range(k + 1)]
     for a in enumerate_subsets(n, k):
         buckets[len(_block_maxima(a, n))].append(a)
     return buckets
+
+
+def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
+    """Size-k subsets of Z/n (0-based) with exactly b cyclic blocks: bucket
+    b of `subsets_by_blocks`, and none for b outside 0..k."""
+    if 0 <= b <= k:
+        yield from subsets_by_blocks(n, k)[b]
 
 
 def verify_mbs_csp(n: int, k: int, b: int, carrier=None) -> Verdict:

@@ -8,9 +8,7 @@ are the acceptance ranges.
 
 from __future__ import annotations
 
-import itertools
 from math import comb, gcd, prod
-from operator import sub
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
@@ -19,8 +17,8 @@ from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial
                        period_g_check, vandermonde_check, verify_extension,
                        verify_flex_maj_equidistribution, verify_flex_universal,
                        verify_formula_vs_oracle, verify_main_theorem)
-from .subsets import (multisubsets_by_profile, subsets_by_blocks, subsets_by_profile,
-                      verify_chain_refinement, verify_g_dd_trivial,
+from .subsets import (by_profile, enumerate_multisubsets, enumerate_subsets,
+                      subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
 from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
@@ -214,52 +212,36 @@ def sweep_flex_maj(n_max: int = 8, max_parts: int | None = None) -> Iterator[Swe
 # ---------------------------------------------------------------------------
 # subset-side sweeps
 
-def compositions_with_parts(k: int, parts: int) -> Iterator[tuple]:
-    """The weak compositions of k into `parts` parts, in lexicographic
-    order: the gaps between 0, parts - 1 cut points chosen with repetition
-    from 0..k, and k."""
-    if not parts:
-        if not k:
-            yield ()
-        return
-    for cuts in itertools.combinations_with_replacement(range(k + 1), parts - 1):
-        # a tuple built from a list is allocated at its size; one built from
-        # an iterator is shrunk afterwards, fragmenting the kept sweep keys
-        yield tuple([*map(sub, cuts + (k,), (0,) + cuts)])
+def _sweep_profiles(n_max: int, enumerate_group, verify) -> Iterator[SweepItem]:
+    """`verify` on every d-interval profile alpha of k <= K_MAX over
+    [0, n-1], d | n, n <= n_max: the objects enumerate_group(n, k) yields
+    are bucketed once per (n, d, k) by `by_profile`, and its keys, sorted
+    (lexicographically), are the profiles swept, each handed its bucket as
+    the carrier.  The two profile sweeps `yield from` it, so each stays a
+    generator function, which the benchmark's tracer times across next()."""
+    for n in range(1, n_max + 1):
+        for d in range(1, n + 1):
+            if n % d:
+                continue
+            for k in range(0, K_MAX + 1):
+                buckets = by_profile(enumerate_group(n, k), n, d)
+                for alpha in sorted(buckets):
+                    yield {"n": n, "d": d, "alpha": alpha}, verify(n, d, alpha, buckets[alpha])
 
 
 def sweep_multisubset(n_max: int = 10) -> Iterator[SweepItem]:
     """The interval CSP on the multisubsets of every profile alpha of
-    k <= K_MAX over the d-intervals of [0, n-1], d | n; the
-    k-multisubsets of each (n, d, k) are enumerated once and handed out
-    by profile bucket, as `sweep_mbs` does by block count."""
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for k in range(0, K_MAX + 1):
-                buckets = multisubsets_by_profile(n, d, k)
-                for alpha in compositions_with_parts(k, n // d):
-                    yield ({"n": n, "d": d, "alpha": alpha},
-                           verify_multisubset_refinement(n, d, alpha,
-                                                         buckets.get(alpha, ())))
+    k <= K_MAX over the d-intervals of [0, n-1], d | n: the profiles are
+    the keys of `by_profile` on the k-multisubsets, every weak composition
+    of k into n/d parts, as each interval has d >= 1 elements."""
+    yield from _sweep_profiles(n_max, enumerate_multisubsets, verify_multisubset_refinement)
 
 
 def sweep_subset_star(n_max: int = 10) -> Iterator[SweepItem]:
-    """The interval CSP with Sum* on the subsets of every profile alpha
-    with parts at most d, bucketed from one pass over the k-subsets of
-    each (n, d, k) like `sweep_multisubset`."""
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for k in range(0, K_MAX + 1):
-                buckets = subsets_by_profile(n, d, k)
-                for alpha in compositions_with_parts(k, n // d):
-                    if any(a > d for a in alpha):
-                        continue
-                    yield ({"n": n, "d": d, "alpha": alpha},
-                           verify_subset_star(n, d, alpha, buckets.get(alpha, ())))
+    """The interval CSP with Sum* on the subsets of every profile alpha of
+    k <= K_MAX: the profiles are the keys of `by_profile` on the k-subsets,
+    the weak compositions of k into n/d parts at most d."""
+    yield from _sweep_profiles(n_max, enumerate_subsets, verify_subset_star)
 
 
 def divisor_chains(n: int, k: int) -> Iterator[tuple]:

@@ -49,7 +49,7 @@ def _plus_one(real):
 
 def _global_table_of_one_interval(real):
     # the order-d global rotation replaced by the identity: the table of d = 1
-    return lambda n, d, step: real(n, 1, step)
+    return lambda n, d: real(n, 1)
 
 
 def _fall_copy_one_gap_late(real):

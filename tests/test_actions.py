@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csieve import qpoly, subsets
-from csieve.actions import (CyclicAction, NotClosed, Verdict, WrongOrder, check_csp,
-                            check_extension_hypotheses, check_refinement, orbits,
-                            restrict_to_subgroup)
+from csieve.actions import (CyclicAction, NotBijective, NotClosed, Verdict, WrongOrder,
+                            check_csp, check_extension_hypotheses, check_refinement,
+                            orbits, restrict_to_subgroup)
 from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root, orbit_gf, q_binomial, reduce
 
@@ -33,7 +33,7 @@ def test_successor_validation():
     assert check_csp(bad, ResiduePoly.zero(3)) == Verdict(
         False, {"check": "closure", "element": 2, "image": 4})
     collapse = CyclicAction(2, (0, 1), lambda x: 0)
-    with pytest.raises(ValueError, match="not a bijection"):
+    with pytest.raises(NotBijective, match="not a bijection"):
         collapse.successor()
 
 
@@ -101,7 +101,7 @@ def test_check_csp_failure_witness():
 
 
 def test_check_csp_modulus_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(WrongOrder, match="polynomial modulus must equal the action order"):
         check_csp(shift_action(4), ResiduePoly.zero(5))
 
 
@@ -266,7 +266,7 @@ def test_a_subset_step_with_a_shifted_table_fails(monkeypatch):
         assert verify(*args).holds, (verify.__name__, args)
     table = subsets._interval_table
     monkeypatch.setattr(subsets, "_interval_table",
-                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+                        lambda n, d: table(n, d)[1:] + table(n, d)[:1])
     for verify, args in instances:
         verdict = verify(*args)
         assert not verdict.holds and verdict.witness["check"] == "closure", (
@@ -279,7 +279,7 @@ def test_an_orbit_size_that_does_not_divide_the_order_is_a_fault(monkeypatch):
     # orbits of size 6
     table = subsets._interval_table
     monkeypatch.setattr(subsets, "_interval_table",
-                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+                        lambda n, d: table(n, d)[1:] + table(n, d)[:1])
     carrier = tuple(itertools.combinations(range(6), 2))
     action = subsets.interval_action(6, 3, carrier)
     assert sorted(orbits(action).sizes) == [3, 6, 6]

@@ -321,7 +321,7 @@ def test_an_orbit_size_that_does_not_divide_the_order_exits_3(capsys, monkeypatc
     # action then has orbits of size 6
     table = subsets._interval_table
     monkeypatch.setattr(subsets, "_interval_table",
-                        lambda n, d, step: table(n, d, step)[1:] + table(n, d, step)[:1])
+                        lambda n, d: table(n, d)[1:] + table(n, d)[:1])
     monkeypatch.setattr(subsets, "enumerate_m_alpha",
                         lambda n, d, alpha: itertools.combinations(range(n), 2))
     code, out, err = run(capsys, "verify", "multisubset", "--n", "6", "--d", "3",

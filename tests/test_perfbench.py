@@ -29,6 +29,16 @@ def test_every_workload_sweep_resolves_and_binds_its_arguments(monkeypatch):
             inspect.signature(sweep).bind(*args)
 
 
+def test_every_traced_sweep_is_a_generator_function(monkeypatch):
+    # the tracer times a generator function across each next(); a sweep
+    # that returns a generator from a plain function would be timed only
+    # while it builds the generator, and read near 0 s in the per-layer table
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    for name in tracing.SWEEPS:
+        assert inspect.isgeneratorfunction(getattr(sweeps, f"sweep_{name}")), name
+
+
 def test_the_timed_import_loads_neither_dataclasses_nor_inspect():
     # the import setup_s times, in a fresh isolated interpreter as the
     # benchmark's child process makes it; either module costs several ms

@@ -9,15 +9,30 @@ from csieve import subsets
 from csieve.actions import OrbitDecomposition
 from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root
-from csieve.subsets import (enumerate_g_chain, enumerate_g_de, enumerate_m_alpha,
-                            enumerate_s_alpha, enumerate_s_kb, global_action,
+from csieve.subsets import (by_profile, enumerate_g_chain, enumerate_g_de,
+                            enumerate_m_alpha, enumerate_multisubsets,
+                            enumerate_s_alpha, enumerate_s_kb, enumerate_subsets,
+                            global_action,
                             interval_action, interval_profile, mbs, rotate_global,
                             rotate_within_intervals, shift_bijection, sum_prime,
                             sum_star, validate_chain, verify_chain_refinement,
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
-from csieve.sweeps import K_MAX, compositions_with_parts, divisor_chains
+from csieve.sweeps import K_MAX, divisor_chains
+from csieve.words import strong_compositions
+
+
+def weak_compositions(k: int, parts: int) -> list[tuple]:
+    """The weak compositions of k into `parts` parts in lexicographic
+    order: the strong compositions of k + parts, less 1 per part."""
+    return [tuple(a - 1 for a in alpha) for alpha in strong_compositions(k + parts, parts)]
+
+
+def set_maxima(delta, n: int) -> list[int]:
+    """The block maxima of a subset of Z/n, from its definition as a set."""
+    s = set(delta)
+    return [a for a in s if (a + 1) % n not in s]
 
 
 def test_statistics():
@@ -37,18 +52,23 @@ def test_interval_profile_and_rotations():
 
 
 def test_table_rotations_equal_the_arithmetic_formula():
+    def power(rotate, a, n, d, step):
+        for _ in range(step):
+            a = rotate(a, n, d)
+        return a
+
     for n in range(1, 13):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             for step in range(d + 1):
                 interval = [d * (x // d) + (x % d + step) % d for x in range(n)]
                 shift = [(x + step * (n // d)) % n for x in range(n)]
                 for x in range(n):
-                    assert rotate_within_intervals((x,), n, d, step) == (interval[x],)
-                    assert rotate_global((x,), n, d, step) == (shift[x],)
+                    assert power(rotate_within_intervals, (x,), n, d, step) == (interval[x],)
+                    assert power(rotate_global, (x,), n, d, step) == (shift[x],)
                 multiset = (0,) + tuple(range(n))
-                assert rotate_within_intervals(multiset, n, d, step) == tuple(
+                assert power(rotate_within_intervals, multiset, n, d, step) == tuple(
                     sorted(interval[x] for x in multiset))
-                assert rotate_global(multiset, n, d, step) == tuple(
+                assert power(rotate_global, multiset, n, d, step) == tuple(
                     sorted(shift[x] for x in multiset))
 
 
@@ -89,7 +109,7 @@ def test_profile_enumeration_equals_the_product_over_all_parts():
     for n in range(1, 13):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             for k in range(5):
-                for alpha in compositions_with_parts(k, n // d):
+                for alpha in weak_compositions(k, n // d):
                     for chooser in (itertools.combinations,
                                     itertools.combinations_with_replacement):
                         per_interval = [list(chooser(range(j * d, (j + 1) * d), a))
@@ -99,20 +119,21 @@ def test_profile_enumeration_equals_the_product_over_all_parts():
                         assert got == want, (n, d, alpha, chooser)
 
 
-@pytest.mark.parametrize("by_profile, enumerate_alpha", [
-    (subsets.multisubsets_by_profile, enumerate_m_alpha),
-    (subsets.subsets_by_profile, enumerate_s_alpha)])
-def test_profile_buckets_equal_the_single_instance_enumeration(by_profile, enumerate_alpha):
+@pytest.mark.parametrize("enumerate_group, enumerate_alpha", [
+    (enumerate_multisubsets, enumerate_m_alpha),
+    (enumerate_subsets, enumerate_s_alpha)])
+def test_profile_buckets_equal_the_single_instance_enumeration(enumerate_group,
+                                                               enumerate_alpha):
     # the one pass per (n, d, k) the sweeps make, against the profile
     # enumeration the single-instance path reads: the same members in the
     # same order, and a bucket for exactly the nonempty profiles (a subset
     # has at most d elements in a d-interval)
-    multisubsets = by_profile is subsets.multisubsets_by_profile
+    multisubsets = enumerate_group is enumerate_multisubsets
     for n in range(1, 13):
         for d in (d for d in range(1, n + 1) if n % d == 0):
             for k in range(K_MAX + 1):
-                buckets = by_profile(n, d, k)
-                profiles = [alpha for alpha in compositions_with_parts(k, n // d)
+                buckets = by_profile(enumerate_group(n, k), n, d)
+                profiles = [alpha for alpha in weak_compositions(k, n // d)
                             if multisubsets or max(alpha) <= d]
                 assert sorted(buckets) == profiles, (n, d, k)
                 for alpha in profiles:
@@ -221,14 +242,10 @@ def test_mbs_values():
 
 
 def test_set_free_block_count_equals_the_set_definition():
-    def maxima(delta, n):
-        s = set(delta)
-        return [a for a in s if (a + 1) % n not in s]
-
     for n in range(1, 11):
         for k in range(n + 1):
             for a in itertools.combinations(range(n), k):
-                want = maxima(a, n)
+                want = set_maxima(a, n)
                 assert subsets._block_maxima(a, n) == sorted(want)
                 for order in (a, a[::-1]):
                     assert mbs(order, n) == sum(x + 1 for x in want)
@@ -236,15 +253,18 @@ def test_set_free_block_count_equals_the_set_definition():
             for b in range(k + 1):
                 assert list(enumerate_s_kb(n, k, b)) == [
                     a for a in itertools.combinations(range(n), k)
-                    if len(maxima(a, n)) == b]
+                    if len(set_maxima(a, n)) == b]
 
 
 def test_block_buckets_are_the_block_classes():
-    # every k-subset has at most k blocks, so the k + 1 buckets hold them all
+    # every k-subset has at most k blocks, so the k + 1 buckets hold them
+    # all; enumerate_s_kb hands out one of them, and nothing past them
     for n in range(1, 11):
         for k in range(n + 1):
             assert subsets.subsets_by_blocks(n, k) == [
-                list(enumerate_s_kb(n, k, b)) for b in range(k + 1)]
+                [a for a in itertools.combinations(range(n), k) if len(set_maxima(a, n)) == b]
+                for b in range(k + 1)]
+            assert list(enumerate_s_kb(n, k, -1)) == list(enumerate_s_kb(n, k, k + 1)) == []
     assert verify_mbs_csp(5, 3, 2, subsets.subsets_by_blocks(5, 3)[2]).holds
 
 

@@ -60,14 +60,27 @@ def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
     assert calls == {"cdt": 210, "_fall_ends": 1 + 6 + 72, "maj": 1 + 6 + 72 + 1440}
 
 
-def test_compositions_with_parts_are_the_shifted_strong_compositions():
-    # a weak composition of k into p parts is a strong one of k + p less 1
-    # per part, in the same (lexicographic) order
-    for k in range(7):
-        for parts in range(13):
-            want = [tuple(a - 1 for a in alpha)
-                    for alpha in strong_compositions(k + parts, parts)]
-            assert list(sweeps.compositions_with_parts(k, parts)) == want, (k, parts)
+@pytest.mark.parametrize("name, verifier", [("multisubset", "verify_multisubset_refinement"),
+                                            ("subset_star", "verify_subset_star")])
+def test_the_profile_sweeps_yield_every_profile_in_order(monkeypatch, name, verifier):
+    # the keys a profile sweep yields, in order, for every (n, d, k) with
+    # n <= 12: the weak compositions of k into n/d parts, lexicographic, at
+    # most d per part for subsets.  A weak composition of k into p parts is
+    # a strong one of k + p less 1 per part, in the same order.  No
+    # profile is handed an empty carrier.
+    monkeypatch.setattr(sweeps, verifier,
+                        lambda n, d, alpha, carrier: sweeps.Verdict(len(carrier) > 0, None))
+    want = []
+    for n in range(1, 13):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            for k in range(sweeps.K_MAX + 1):
+                for strong in strong_compositions(k + n // d, n // d):
+                    alpha = tuple(a - 1 for a in strong)
+                    if name == "multisubset" or max(alpha) <= d:
+                        want.append({"n": n, "d": d, "alpha": alpha})
+    items = list(getattr(sweeps, f"sweep_{name}")(12))
+    assert [key for key, _ in items] == want
+    assert all(verdict.holds for _, verdict in items)
 
 
 def test_the_phi_check_builds_its_parameters_once(monkeypatch):
@@ -86,7 +99,7 @@ def test_the_profile_sweeps_enumerate_each_group_once(monkeypatch, name, enumera
     # and no per-profile enumeration: 20 divisor pairs (n, d) at n <= 8,
     # times the K_MAX + 1 values of k
     passes = Counter()
-    real = getattr(subsets, enumerator)
+    real = getattr(sweeps, enumerator)
 
     def counted(n, k):
         passes[n, k] += 1
@@ -95,7 +108,7 @@ def test_the_profile_sweeps_enumerate_each_group_once(monkeypatch, name, enumera
     def forbidden(*args):
         raise AssertionError("a profile was enumerated on its own")
 
-    monkeypatch.setattr(subsets, enumerator, counted)
+    monkeypatch.setattr(sweeps, enumerator, counted)
     monkeypatch.setattr(subsets, "_enumerate_profile", forbidden)
     report = sweeps.run_sweep(getattr(sweeps, f"sweep_{name}")(8))
     assert report["holds"] is True
