@@ -46,8 +46,9 @@ class OrbitDecomposition(NamedTuple):
         return tuple(len(o) for o in self.orbits)
 
 
-class NotClosed(ValueError):
-    """A step takes an element of the carrier outside the carrier."""
+class NotClosed(Exception):
+    """A step takes an element of the carrier outside the carrier.  Every
+    check turns it into its closure verdict; one that escapes is a fault."""
 
     def __init__(self, element, image):
         super().__init__(f"step leaves the carrier at {element!r} -> {image!r}")
@@ -214,57 +215,31 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     return Verdict(witness1 is None, witness1)
 
 
-class ExtensionReport(NamedTuple):
-    """Hypotheses of the period-based extension of a CSP from C_g to C_n.
-    An immutable named tuple of its four fields, equal to that plain
-    tuple; like Verdict, it reaches JSON only through to_json()."""
-
-    subgroup_csp: Verdict          # (i) CSP for the restricted order-g action
-    period_ok: bool                # (ii) f has period g modulo n
-    orbit_divisibility_ok: bool    # (iii) n/|O| divides g for every orbit
-    full_csp: Verdict
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.subgroup_csp.holds and self.period_ok and self.orbit_divisibility_ok
-
-    def to_json(self) -> dict:
-        return {
-            "subgroup_csp": self.subgroup_csp.to_json(),
-            "period_ok": self.period_ok,
-            "orbit_divisibility_ok": self.orbit_divisibility_ok,
-            "full_csp": self.full_csp.to_json(),
-        }
-
-
-def check_extension_hypotheses(a: CyclicAction, g: int, f: ResiduePoly) -> ExtensionReport:
-    """The hypotheses and the full CSP; raises NotClosed when the step
-    leaves the carrier, since the subgroup action needs a closed one."""
-    if g < 1 or a.order % g:
-        raise ValueError("g must divide the action order")
-    sub = check_csp(restrict_to_subgroup(a, g), refold(f, g))
+def check_extension(a: CyclicAction, g: int, f: ResiduePoly) -> Verdict:
+    """The period-based extension of a CSP from C_g to C_n: the hypotheses
+    (i) the CSP of the restricted order-g action, (ii) period g of f
+    modulo n and (iii) n/|O| dividing g for every orbit O, and the full
+    CSP.  It holds when the hypotheses do; the failure witness gives all
+    four outcomes.  A step that leaves the carrier fails it with the
+    closure witness.  Hypotheses that hold beside a failing full CSP
+    contradict the extension lemma and raise RuntimeError."""
+    try:
+        sub = check_csp(restrict_to_subgroup(a, g), refold(f, g))
+    except NotClosed as exc:
+        return exc.verdict()
+    full = check_csp(a, f)      # an orbit size not dividing n raises WrongOrder here
     period_ok = has_period(f, g)
-    orbit_ok = all((a.order // size) and g % (a.order // size) == 0
-                   for size in orbits(a).sizes)
-    full = check_csp(a, f)
-    if sub.holds and period_ok and orbit_ok and not full.holds:
+    orbit_ok = all(g % (a.order // size) == 0 for size in orbits(a).sizes)
+    holds = sub.holds and period_ok and orbit_ok
+    if holds and not full.holds:
         raise RuntimeError("extension hypotheses hold but the full CSP fails; "
                            "this contradicts the extension lemma")
-    return ExtensionReport(sub, period_ok, orbit_ok, full)
+    return Verdict(holds, None if holds else {
+        "subgroup_csp": sub.to_json(), "period_ok": period_ok,
+        "orbit_divisibility_ok": orbit_ok, "full_csp": full.to_json()})
 
 
 def check_refinement(parent: CyclicAction, sub_carrier, f_sub: ResiduePoly) -> Verdict:
-    """CSP check for a subset of the carrier under the restricted action.
-
-    Rejects (ValueError) when the subset is not closed under the parent step.
-    """
-    sub = tuple(sub_carrier)
-    sub_set = set(sub)
-    perm = parent.successor()
-    carrier = parent.carrier
-    index = {x: i for i, x in enumerate(carrier)}
-    for x in sub:
-        if carrier[perm[index[x]]] not in sub_set:
-            raise ValueError(f"sub-carrier not closed under the action: {x!r} escapes")
-    action = CyclicAction(parent.order, sub, parent.step)
-    return check_csp(action, f_sub)
+    """CSP check for a subset of the carrier under the parent's step; a
+    subset that the step leaves fails with the closure witness."""
+    return check_csp(CyclicAction(parent.order, sub_carrier, parent.step), f_sub)

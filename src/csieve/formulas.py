@@ -11,10 +11,9 @@ import itertools
 from math import comb, factorial, gcd, prod
 from typing import Iterator, NamedTuple
 
-from .actions import (CyclicAction, NotClosed, Verdict, check_csp,
-                      check_extension_hypotheses)
+from .actions import CyclicAction, Verdict, check_csp, check_extension
 from .qpoly import (IntPoly, ResiduePoly, monomial, poly_mul, q_binomial, q_multichoose,
-                    q_multinomial, has_period, orbit_gf, reduce)
+                    q_multinomial, has_period, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
                     inv, is_strong, maj, necklace as necklace_of)
 
@@ -232,22 +231,15 @@ def verify_main_theorem(alpha, delta, words=None) -> Verdict:
 
 
 def verify_extension(alpha, delta) -> Verdict:
-    """The extension lemma on one class: the hypotheses at
-    g = gcd(alpha, delta) (the subgroup CSP, period g, orbit divisibility)
-    and the full rotation CSP all hold.  The failure witness is the
-    ExtensionReport, or for a class that rotation does not preserve the
-    closure witness: an element and its image."""
+    """The extension lemma on one class (actions.check_extension at
+    g = gcd(alpha, delta)): the hypotheses and the full rotation CSP all
+    hold.  The failure witness gives the four outcomes, or for a class
+    that rotation does not preserve it is the closure witness."""
     p = params(alpha, delta)
     words = _word_class(p, None)
     if not words:
         return Verdict(True, None)
-    action, f = rotation_action(words), brute_gf(words, p.n, maj)
-    try:
-        report = check_extension_hypotheses(action, p.g, f)
-    except NotClosed as exc:
-        return exc.verdict()
-    holds = report.hypotheses_hold and report.full_csp.holds
-    return Verdict(holds, None if holds else report.to_json())
+    return check_extension(rotation_action(words), p.g, brute_gf(words, p.n, maj))
 
 
 def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
@@ -336,11 +328,9 @@ def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
 
 
 def verify_flex_universal(necklace) -> Verdict:
-    """On the necklace of the given word, the flex generating function is
-    exactly the orbit generating function, so each orbit is its own CSP."""
+    """On the necklace of the given word, flex sieves the single orbit:
+    method 2 of the CSP check compares its flex generating function with
+    the orbit generating function."""
     nk = necklace_of(tuple(necklace))
-    n = len(nk.representative)
-    f = brute_gf(nk.members, n, flex)
-    if f != orbit_gf(n, nk.period):
-        return Verdict(False, {"necklace": nk.representative})
-    return check_csp(rotation_action(nk.members), f)
+    return check_csp(rotation_action(nk.members),
+                     brute_gf(nk.members, len(nk.representative), flex))

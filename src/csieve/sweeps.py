@@ -146,15 +146,9 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
                 leaves.append(child)
             else:
                 node_maj[child] = child_maj
+    # each kept child recovered its own edge, so no two edges build one leaf
     built = set(leaves)
-    extra = None        # the first leaf built twice or not enumerated
-    if len(built) < len(leaves) or not built <= enumerated:
-        seen: set[Word] = set()
-        for w in leaves:
-            if w in seen or w not in enumerated:
-                extra = w
-                break
-            seen.add(w)
+    extra = min(built - enumerated, default=None)
     missing = min(enumerated - built, default=None)
     if extra is not None or missing is not None:
         return Verdict(False, {"check": "leaf-set", "built": len(leaves),

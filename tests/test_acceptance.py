@@ -47,6 +47,15 @@ def _plus_one(real):
     return lambda *args: real(*args) + 1
 
 
+def _zero_prepended(real):
+    # an IntPoly times q: its coefficient tuple with a 0 in front
+    return lambda *args: (0,) + real(*args)
+
+
+def _every_value_plus_one(real):
+    return lambda *args: {w: v + 1 for w, v in real(*args).items()}
+
+
 def _global_table_of_one_interval(real):
     # the order-d global rotation replaced by the identity: the table of d = 1
     return lambda n, d: real(n, 1)
@@ -68,12 +77,18 @@ def _fall_copy_one_gap_late(real):
 # weakened check shows.  A q-shift keeps every period, so period-g's mutant
 # breaks one instead; vandermonde and tilde-gf catch the shift.
 MUTANTS = {
+    "main": (formulas, "brute_gf", _times_q, 6, 11, 160),
     "tilde-gf": (formulas, "_fold_tilde", _times_q, 8, 27, 786),
+    "macmahon": (formulas, "q_multinomial", _zero_prepended, 6, 63, 63),
     "vandermonde": (formulas, "maj_gf_mod_n", _times_q, 8, 19, 162),
     "period-g": (formulas, "maj_gf_mod_n", _constant_term_plus_one, 8, 778, 786),
     "phi": (insertion, "_insert_triple", _fall_copy_one_gap_late, 6, 129, 160),
+    "flex-universal": (formulas, "flex", _plus_one, 6, 29, 225),
+    "flex-maj": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 11, 229),
     "multisubset": (subsets, "brute_gf", _times_q, 8, 57, 1471),
     "subset-star": (subsets, "brute_gf", _times_q, 8, 47, 522),
+    "chain": (subsets, "sum_prime", _plus_one, 8, 22, 91),
+    "g-dd": (subsets, "sum_prime", _plus_one, 8, 32, 123),
     "mbs": (subsets, "_sorted_mbs", _plus_one, 8, 22, 164),
     "action-isomorphism": (subsets, "_global_table", _global_table_of_one_interval,
                            8, 45, 91),
@@ -92,6 +107,10 @@ def swept_theorems() -> list[str]:
 
 def test_every_sweep_has_a_pinned_count():
     assert sorted(INSTANCES) == sorted(swept_theorems())
+
+
+def test_every_sweep_has_a_mutant():
+    assert sorted(MUTANTS) == sorted(swept_theorems())
 
 
 @pytest.mark.parametrize("name", swept_theorems())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csieve import qpoly, subsets
 from csieve.actions import (CyclicAction, NotBijective, NotClosed, Verdict, WrongOrder,
-                            check_csp, check_extension_hypotheses, check_refinement,
+                            check_csp, check_extension, check_refinement,
                             orbits, restrict_to_subgroup)
 from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root, orbit_gf, q_binomial, reduce
@@ -30,6 +30,9 @@ def test_successor_validation():
     with pytest.raises(NotClosed) as exc:
         bad.successor()
     assert (exc.value.element, exc.value.image) == (2, 4)
+    # every check turns it into a verdict: one that escapes is a fault
+    # (exit 3), not bad usage (exit 2)
+    assert not issubclass(NotClosed, ValueError)
     assert check_csp(bad, ResiduePoly.zero(3)) == Verdict(
         False, {"check": "closure", "element": 2, "image": 4})
     collapse = CyclicAction(2, (0, 1), lambda x: 0)
@@ -110,25 +113,29 @@ def test_check_refinement_closure():
     closed = [s for s in a.carrier if (s[1] - s[0]) in (1, 3)]
     assert len(closed) == 4     # one free orbit of cyclically adjacent pairs
     assert check_refinement(a, closed, ResiduePoly(4, (1, 1, 1, 1))).holds
-    with pytest.raises(ValueError):
-        check_refinement(a, [(0, 1)], ResiduePoly.zero(4))
+    # a sub-carrier that the step leaves gets the closure verdict, not an error
+    assert check_refinement(a, [(0, 1)], ResiduePoly.zero(4)) == Verdict(
+        False, {"check": "closure", "element": (0, 1), "image": (1, 2)})
 
 
 def test_extension_hypotheses_free_action():
     # free orbit of size 4 with g = 4: everything holds
-    a = shift_action(4)
-    f = ResiduePoly(4, (1, 1, 1, 1))
-    report = check_extension_hypotheses(a, 4, f)
-    assert report.hypotheses_hold
-    assert report.full_csp.holds
+    assert check_extension(shift_action(4), 4, ResiduePoly(4, (1, 1, 1, 1))) == Verdict(True, None)
 
 
 def test_extension_hypotheses_detect_failure():
-    # the right subgroup polynomial but the wrong period: hypotheses fail
-    a = shift_action(4)
+    # f has period 2 and the orbit of size 4 has n/|O| = 1 dividing g = 2,
+    # but f is not the orbit sum: the subgroup CSP fails at the step of
+    # order 2, which fixes nothing while f refolded mod q^2 - 1 evaluates
+    # to 4 there, and the full CSP fails likewise
     f = ResiduePoly(4, (2, 0, 2, 0))
-    report = check_extension_hypotheses(a, 2, f)
-    assert not report.hypotheses_hold or report.full_csp.holds
+    assert check_extension(shift_action(4), 2, f) == Verdict(False, {
+        "subgroup_csp": {"holds": False,
+                         "witness": {"k": 1, "fixed_points": 0, "evaluation": 4}},
+        "period_ok": True,
+        "orbit_divisibility_ok": True,
+        "full_csp": {"holds": False,
+                     "witness": {"k": 2, "fixed_points": 0, "evaluation": 4}}})
 
 
 def reference_csp(carrier, step, n, f) -> Verdict:
