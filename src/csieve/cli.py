@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from math import log10
 
 from . import formulas, sweeps
 from .qpoly import poly_text, q_multinomial, reduce
@@ -69,10 +70,16 @@ def enumeration_cap() -> int:
 
 
 def check_cap(size: int) -> None:
-    """Refuse to enumerate more than the cap of objects."""
+    """Refuse to enumerate more than the cap of objects.  A size too long
+    for Python to print (its int-to-str digit limit) is shown as "more
+    than 10^e", e the largest with 10^e <= 2^(bit_length - 1) <= size."""
     cap = enumeration_cap()
     if size > cap:
-        raise UsageError(f"refusing to enumerate {size} objects (cap {cap}; "
+        try:
+            shown = str(size)
+        except ValueError:
+            shown = f"more than 10^{int((size.bit_length() - 1) * log10(2))}"
+        raise UsageError(f"refusing to enumerate {shown} objects (cap {cap}; "
                          f"set CSIEVE_CAP to override)")
 
 

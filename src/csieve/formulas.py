@@ -14,8 +14,8 @@ from typing import Iterator, NamedTuple
 from .actions import CyclicAction, Verdict, check_csp, check_extension
 from .qpoly import (IntPoly, ResiduePoly, monomial, poly_mul, q_binomial, q_multichoose,
                     q_multinomial, has_period, reduce)
-from .words import (Composition, cdt_groups, enumerate_by_content, flex, flex_per_orbit,
-                    inv, is_strong, maj, necklace as necklace_of)
+from .words import (Composition, cdt_groups, enumerate_by_content, flex_per_orbit, inv,
+                    is_strong, maj, necklace as necklace_of)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -329,8 +329,13 @@ def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
 
 def verify_flex_universal(necklace) -> Verdict:
     """On the necklace of the given word, flex sieves the single orbit:
-    method 2 of the CSP check compares its flex generating function with
-    the orbit generating function."""
+    method 2 of the CSP check compares its flex generating function, with
+    flex taken once for the orbit (flex_per_orbit), with the orbit
+    generating function.  On an orbit of p distinct rotations of a word of
+    length n, flex takes the values freq * i for i < p, freq = n / p, and
+    these are exactly orbit_gf's exponents; so this checks the code that
+    computes flex, not a deeper claim."""
     nk = necklace_of(tuple(necklace))
     return check_csp(rotation_action(nk.members),
-                     brute_gf(nk.members, len(nk.representative), flex))
+                     brute_gf(nk.members, len(nk.representative),
+                              flex_per_orbit(nk.members).__getitem__))

@@ -21,8 +21,8 @@ from .subsets import (by_profile, enumerate_multisubsets, enumerate_subsets,
                       subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (Word, cdes, cdt, cdt_groups, enumerate_by_content, maj,
-                    necklaces_over, strong_compositions)
+from .words import (Word, cdes, cdt_groups, maj, necklace_classes, necklaces_over,
+                    strong_compositions)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -70,24 +70,11 @@ def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
 
 def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
     """The words of strong content alpha that end in 1, grouped by cyclic
-    descent type: brute-force enumeration (every word, by Algorithm L),
-    independent of insertion.  Level l of cdt reads only the letters <= l,
-    so levels 1..m-1 are cdt of the word without its letters m, taken once
-    per distinct such restriction, and level m is what is left of the
-    word's cyclic descents."""
-    alpha = tuple(alpha)
-    m = len(alpha)
-    lower: dict[Word, tuple] = {}    # restriction -> (its cdt, the cdt's sum)
-    groups: dict[tuple, set[Word]] = {}
-    for u in enumerate_by_content((alpha[0] - 1,) + alpha[1:]):
-        w = u + (1,)
-        restriction = tuple([x for x in w if x < m])
-        known = lower.get(restriction)
-        if known is None:
-            levels = cdt(restriction)
-            known = lower[restriction] = levels, sum(levels)
-        groups.setdefault(known[0] + (cdes(w) - known[1],), set()).add(w)
-    return groups
+    descent type: the rotations ending in 1 of each necklace of a class of
+    words.necklace_classes, which is brute-force enumeration (FKM and cdt),
+    independent of insertion."""
+    return {delta: {w[i:] + w[:i] for w, p in members for i in range(p) if w[i - 1] == 1}
+            for delta, members in necklace_classes(alpha).items()}
 
 
 def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Word,

@@ -234,31 +234,50 @@ def enumerate_by_content(alpha: Iterable[int]) -> Iterator[Word]:
 def _fkm(counts: list[int], first: int, n: int) -> Iterator[tuple[Word, int]]:
     """(least rotation, period) of every necklace of length n >= 1 whose
     least letter is `first`, in lexicographic order, where letter j may
-    be used counts[j - 1] more times after the leading `first`.  The
-    recursion keeps the current prenecklace and the length p of its
-    longest Lyndon prefix; a prenecklace of length n with p | n is a
-    necklace of period p."""
+    be used counts[j - 1] more times after the leading `first`.  A
+    depth-first walk of the prenecklaces, kept in arrays rather than on
+    the call stack (so any n fits): word[:t] is the current prenecklace,
+    lyndon[t] the length of its longest Lyndon prefix, and j the next
+    letter to try at position t.  A prenecklace of length n whose longest
+    Lyndon prefix p divides n is a necklace of period p."""
+    if n == 1:
+        yield (first,), 1
+        return
     k = len(counts)
+    avail = [0] + counts                # avail[j]: uses of letter j left
     word = [first] * n
-
-    def extend(t: int, p: int) -> Iterator[tuple[Word, int]]:
-        if t == n:
+    lyndon = [1] * n
+    t, j = 1, first
+    while True:
+        while j <= k and not avail[j]:
+            j += 1
+        if j > k:
+            # every letter at position t is done: take back the one before
+            t -= 1
+            if not t:
+                return
+            j = word[t]
+            avail[j] += 1
+            j += 1
+            continue
+        word[t] = j
+        p = lyndon[t]
+        if j != word[t - p]:
+            p = t + 1
+        if t < n - 1:
+            avail[j] -= 1
+            t += 1
+            lyndon[t] = p
+            j = word[t - p]
+        else:
             if n % p == 0:
                 yield tuple(word), p
-            return
-        for j in range(word[t - p], k + 1):
-            if counts[j - 1]:
-                counts[j - 1] -= 1
-                word[t] = j
-                yield from extend(t + 1, p if j == word[t - p] else t + 1)
-                counts[j - 1] += 1
-
-    yield from extend(1, 1)
+            j += 1
 
 
 def necklaces(alpha: Iterable[int]) -> Iterator[tuple[Word, int]]:
     """(least rotation, period) of every necklace of content alpha, in
-    lexicographic order: the fixed-content FKM recursion (Sawada 2003,
+    lexicographic order: the fixed-content FKM algorithm (Sawada 2003,
     "A fast algorithm to generate necklaces with fixed content").  The
     period is the number of distinct rotations; the empty content has one
     necklace, the empty word, with one rotation."""
@@ -282,15 +301,32 @@ def necklaces_over(k: int, n: int) -> Iterator[Word]:
             yield w
 
 
+def necklace_classes(alpha) -> dict[Composition, list[tuple[Word, int]]]:
+    """The (least rotation, period) of every necklace of the content,
+    grouped by cyclic descent type padded to len(alpha) = m, each group in
+    the order of `necklaces`; cdt is invariant under rotation, so it is
+    taken once per necklace.  Level l of cdt reads only the letters <= l,
+    so levels 1..m-1 are cdt of the necklace without its letters m, taken
+    once per distinct such restriction and padded to m - 1, and level m
+    is what is left of the necklace's cyclic descents."""
+    m = len(alpha)
+    if not m:
+        return {(): list(necklaces(alpha))}
+    lower: dict[Word, tuple] = {}    # restriction -> (its levels, their sum)
+    classes: dict[Composition, list[tuple[Word, int]]] = {}
+    for w, p in necklaces(alpha):
+        restriction = tuple([x for x in w if x < m])
+        known = lower.get(restriction)
+        if known is None:
+            levels = pad_to(cdt(restriction), m - 1)
+            known = lower[restriction] = levels, sum(levels)
+        classes.setdefault(known[0] + (cdes(w) - known[1],), []).append((w, p))
+    return classes
+
+
 def cdt_groups(alpha) -> dict[Composition, list[Word]]:
     """All words of the content, grouped by cyclic descent type padded to
-    len(alpha); each group in lexicographic order.  cdt is invariant under
-    rotation, so it is computed once per necklace, and the necklace's
-    distinct rotations join its class."""
-    m = len(alpha)
-    groups: dict[Composition, list[Word]] = {}
-    for w, p in necklaces(alpha):
-        groups.setdefault(pad_to(cdt(w), m), []).extend(w[i:] + w[:i] for i in range(p))
-    for words in groups.values():
-        words.sort()
-    return groups
+    len(alpha): the distinct rotations of each necklace of a class of
+    necklace_classes, in lexicographic order."""
+    return {delta: sorted(w[i:] + w[:i] for w, p in members for i in range(p))
+            for delta, members in necklace_classes(alpha).items()}

@@ -83,7 +83,7 @@ MUTANTS = {
     "vandermonde": (formulas, "maj_gf_mod_n", _times_q, 8, 19, 162),
     "period-g": (formulas, "maj_gf_mod_n", _constant_term_plus_one, 8, 778, 786),
     "phi": (insertion, "_insert_triple", _fall_copy_one_gap_late, 6, 129, 160),
-    "flex-universal": (formulas, "flex", _plus_one, 6, 29, 225),
+    "flex-universal": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 29, 225),
     "flex-maj": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 11, 229),
     "multisubset": (subsets, "brute_gf", _times_q, 8, 57, 1471),
     "subset-star": (subsets, "brute_gf", _times_q, 8, 47, 522),

@@ -267,6 +267,28 @@ def test_subset_sweep_over_the_cap_exits_2_before_it_starts(capsys, name):
     assert "refusing to enumerate 137846528820 objects" in err
 
 
+def test_a_size_too_long_to_print_is_refused_as_a_power_of_ten(capsys, monkeypatch):
+    # (5000, 5000, 5000, 5000) has over 4,300 digits of words, past Python's
+    # int-to-str limit; the refusal gives a power of ten the size passes
+    monkeypatch.delenv("CSIEVE_CAP", raising=False)
+    code, out, err = run(capsys, "verify", "main", "--n-max", "20000")
+    assert_usage_error(code, out, err)
+    assert err.startswith("error: refusing to enumerate more than 10^")
+    exponent = int(err.split("10^")[1].split()[0])
+    assert 10 ** exponent <= formulas.multinomial((5000,) * 4) < 10 ** (exponent + 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "main", "--alpha", "999,1", "--delta", "0,1"],
+    ["gf", "--alpha", "2000,1", "--delta", "0,1"],
+], ids=["verify-main", "gf"])
+def test_a_deep_content_within_the_cap_runs(capsys, monkeypatch, argv):
+    # 1,000 and 2,001 letters, one necklace each: no call stack per letter
+    monkeypatch.delenv("CSIEVE_CAP", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+
+
 def test_default_content_sweeps_fit_the_default_cap(monkeypatch):
     monkeypatch.delenv("CSIEVE_CAP", raising=False)
     for name, theorem in sweeps.THEOREMS.items():

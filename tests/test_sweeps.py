@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from csieve import formulas, insertion, subsets, sweeps
+from csieve import formulas, insertion, subsets, sweeps, words
 from csieve.insertion import insert_triple, phi
 from csieve.words import (cdt, cdt_groups, enumerate_by_content, maj, necklace,
                           strong_compositions)
@@ -27,8 +27,8 @@ def test_words_ending_in_one_groups_by_cdt():
 
 
 def test_words_ending_in_one_equals_grouping_by_cdt():
-    # every strong content with n <= 8: the lower levels taken once per
-    # restriction, against cdt of each word
+    # every strong content with n <= 8: the oracle, read off the necklace
+    # classes, against every word ending in 1 by Algorithm L with cdt per word
     for n in range(1, 9):
         for parts in range(1, n + 1):
             for alpha in strong_compositions(n, parts):
@@ -40,7 +40,8 @@ def test_words_ending_in_one_equals_grouping_by_cdt():
 
 def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
     # deterministic work counts on one instance: cdt once per distinct
-    # restriction (a word of content (2, 3, 2) followed by 1), the fall ends
+    # restriction of a necklace of the content (its least rotation without
+    # the letters 4: 1 followed by a word of content (2, 3, 2)), the fall ends
     # of each node with children read once, maj taken once per node
     calls = Counter()
 
@@ -52,7 +53,7 @@ def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [(sweeps, "cdt"), (sweeps, "maj"), (insertion, "_fall_ends")]:
+    for module, name in [(words, "cdt"), (sweeps, "maj"), (insertion, "_fall_ends")]:
         count(module, name)
     assert sweeps.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
     # 7! / (2! 3! 2!) restrictions; the tree has 6, 12 and 20 labels per

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from csieve.formulas import rotation_action
 from csieve.words import (as_word, cdes, cdt, cdt_groups, content, cyclic_descent_set,
                           des, descent_set, enumerate_by_content, flex, flex_per_orbit,
-                          freq, inv, lex, maj, necklace, necklaces, pad_to, period,
-                          strong_compositions)
+                          freq, inv, lex, maj, necklace, necklace_classes, necklaces,
+                          pad_to, period, strong_compositions)
 
 W = as_word([1, 5, 5, 3, 1, 5, 5, 3])
 
@@ -210,6 +210,22 @@ def test_necklaces_are_the_least_rotations_with_their_periods():
             (w, period(w)) for w in enumerate_by_content(alpha)
             if necklace(w).representative == w], alpha
     assert list(necklaces(())) == [((), 1)]
+
+
+def test_necklace_classes_group_the_necklaces_by_cdt():
+    # the reference: cdt of every necklace, padded to len(alpha)
+    for alpha in list(contents_up_to(7)) + ZERO_PART_CONTENTS + [(), (0,)]:
+        reference = {}
+        for w, p in necklaces(alpha):
+            reference.setdefault(pad_to(cdt(w), len(alpha)), []).append((w, p))
+        assert necklace_classes(alpha) == reference, alpha
+
+
+def test_a_deep_content_has_its_one_necklace():
+    # 2000 letters: the walk of the prenecklaces keeps no call stack
+    w = (1,) * 1999 + (2,)
+    assert list(necklaces((1999, 1))) == [(w, 2000)]
+    assert cdt_groups((1999, 1)) == {(0, 1): sorted(rotate(w, s) for s in range(2000))}
 
 
 def test_flex_per_orbit_is_flex():
