@@ -12,10 +12,10 @@ from math import comb, factorial, gcd, prod
 from typing import Iterator, NamedTuple
 
 from .actions import CyclicAction, Verdict, check_csp, check_extension
-from .qpoly import (IntPoly, ResiduePoly, monomial, poly_mul, q_binomial, q_multichoose,
-                    q_multinomial, has_period, reduce)
+from .qpoly import (ONE, IntPoly, ResiduePoly, monomial, poly_mul, q_binomial,
+                    q_multichoose, q_multinomial, has_period, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex_per_orbit, inv,
-                    is_strong, maj, necklace as necklace_of)
+                    is_strong, maj)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -52,8 +52,7 @@ class InstanceParams(_InstanceFields):
     def __new__(cls, alpha: Composition, delta: Composition):
         if len(alpha) != len(delta):
             raise ValueError("alpha and delta need the same number of parts")
-        if not alpha or not is_strong(alpha):
-            raise ValueError("alpha must be a non-empty strong composition")
+        strong_content(alpha)
         if delta[0] or not all(0 <= d <= a for a, d in zip(alpha, delta)):
             raise ValueError("delta must have delta_1 = 0 and 0 <= delta_l <= alpha_l")
         return tuple.__new__(cls, (alpha, delta))
@@ -101,9 +100,12 @@ def params(alpha, delta) -> InstanceParams:
 
 
 def strong_content(alpha) -> Composition:
-    """alpha through the gate of InstanceParams, for the theorems that take
-    no delta: the zero type lies in every box."""
-    return params(alpha, (0,) * len(tuple(alpha))).alpha
+    """alpha as a tuple, through the content half of the gate of
+    InstanceParams: for the theorems that take no delta."""
+    alpha = tuple(alpha)
+    if not alpha or not is_strong(alpha):
+        raise ValueError("alpha must be a non-empty strong composition")
+    return alpha
 
 
 def is_nonempty(alpha, delta) -> bool:
@@ -148,33 +150,70 @@ def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
 
 
 def _fold_tilde(p: InstanceParams, tilde: IntPoly) -> ResiduePoly:
-    """maj_gf_mod_n of the instance p from its tilde generating function."""
-    folded = [c * p.d for c in reduce(tilde, p.d).coeffs]
-    if any(c % p.alpha[0] for c in folded):
+    """maj_gf_mod_n of the instance p from its tilde generating function,
+    folded mod q^d - 1 by slices."""
+    n, d, first = p.n, p.d, p.alpha[0]
+    folded = [sum(tilde[i::d]) * d for i in range(d)]
+    if any(c % first for c in folded):
         raise RuntimeError("maj formula coefficients not divisible by alpha_1")
-    return ResiduePoly(p.n, tuple(c // p.alpha[0] for c in folded) * (p.n // p.d))
+    return ResiduePoly(n, tuple(c // first for c in folded) * (n // d))
 
 
-def feasible_deltas(alpha) -> Iterator[Composition]:
-    """All cyclic descent types with a nonempty word class for this strong
-    content, over every total k, in lexicographic order: the box walked
-    depth first, keeping a delta_l only where is_nonempty's factor
-    conditions hold for the running n_{l-1} and k_{l-1} (a prefix that
-    fails one has no feasible extension)."""
-    alpha = strong_content(alpha)
+def _feasible_tree(alpha: Composition, step=None, root=None):
+    """(delta, state) for every feasible delta of the strong content alpha,
+    in lexicographic order: the box walked depth first, keeping a delta_l
+    only where is_nonempty's factor conditions hold for the running n_{l-1}
+    and k_{l-1} (a prefix that fails one has no feasible extension, and
+    every prefix kept has one).  The state starts at `root`, and each edge
+    into a kept prefix maps it by step(state, falls, delta_l, runs, reps),
+    is_nonempty's factor; without a step it stays `root`."""
     m = len(alpha)
 
-    def extend(delta, n, k):
+    def extend(delta, n, k, state):
         if len(delta) == m:
-            yield delta
+            yield delta, state
             return
         a = alpha[len(delta)]
         # delta_l <= falls = n - k; when k = 0 the word so far has no run,
         # so the letter must open a fall: delta_l >= 1
         for d in range(0 if k else 1, min(a, n - k) + 1):
-            yield from extend(delta + (d,), n + a, k + d)
+            yield from extend(delta + (d,), n + a, k + d,
+                              step(state, n - k, d, k + d, a - d) if step else state)
 
-    yield from extend((0,), alpha[0], 0)
+    yield from extend((0,), alpha[0], 0, root)
+
+
+def feasible_deltas(alpha) -> Iterator[Composition]:
+    """All cyclic descent types with a nonempty word class for this strong
+    content, over every total k, in lexicographic order (_feasible_tree,
+    which takes no product here)."""
+    for delta, _ in _feasible_tree(strong_content(alpha)):
+        yield delta
+
+
+def _closed_step(state, falls: int, d: int, runs: int, reps: int):
+    """One factor of the closed forms: the count and tilde products and the
+    sum of the comb(delta_l, 2) so far, times letter l's factor."""
+    count, product, eta = state
+    return (count * comb(falls, d) * multichoose(runs, reps),
+            poly_mul(poly_mul(product, q_binomial(falls, d)), q_multichoose(runs, reps)),
+            eta + comb(d, 2))
+
+
+def closed_forms(alpha) -> Iterator[tuple[InstanceParams, int, IntPoly]]:
+    """(InstanceParams, count_w_alpha_delta, tilde_maj_gf) for every delta
+    of feasible_deltas(alpha), in its order, from one walk of its tree:
+    prefixes that two deltas share have their factors multiplied once, and
+    each leaf adds the terms of eta that depend on the whole delta
+    (n - alpha_1 + comb(k, 2)) and builds one InstanceParams."""
+    alpha = strong_content(alpha)
+    n, first = sum(alpha), alpha[0]
+    for delta, (count, product, eta) in _feasible_tree(alpha, _closed_step, (1, ONE, 0)):
+        total = n * count
+        if total % first:
+            raise RuntimeError("count formula produced a non-integer")
+        yield (InstanceParams(alpha, delta), total // first,
+               (0,) * (n - first + comb(sum(delta), 2) + eta) + product)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +281,13 @@ def verify_extension(alpha, delta) -> Verdict:
     return check_extension(rotation_action(words), p.g, brute_gf(words, p.n, maj))
 
 
-def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
+def verify_formula_vs_oracle(alpha, delta, words=None, closed=None) -> Verdict:
     """Exact agreement of the closed forms with enumeration: the emptiness
     test, the count, the tilde generating function over the words ending
     in 1, and the maj generating function mod q^n - 1, folded from that
     tilde function as maj_gf_mod_n folds it.  maj is taken once per word.
+    A sweep that has the closed forms from closed_forms passes them as
+    `closed`, the pair (count, tilde); without them they are computed here.
     A witness carries the enumerated and the closed-form values that
     differ."""
     p = params(alpha, delta)
@@ -255,13 +296,13 @@ def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
     if bool(words) != nonempty:
         return Verdict(False, {"check": "nonempty", "enumerated": len(words),
                                "is_nonempty": nonempty})
-    count = count_w_alpha_delta(alpha, delta)
+    count, formula = ((count_w_alpha_delta(alpha, delta), tilde_maj_gf(alpha, delta))
+                      if closed is None else closed)
     if len(words) != count:
         return Verdict(False, {"check": "count", "enumerated": len(words),
                                "formula": count})
     majs = list(map(maj, words))
     tilde = tally(v for w, v in zip(words, majs) if w[-1] == 1)
-    formula = tilde_maj_gf(alpha, delta)
     if tilde != formula:
         return Verdict(False, {"check": "tilde_maj_gf", "enumerated": tilde,
                                "formula": formula})
@@ -273,15 +314,15 @@ def verify_formula_vs_oracle(alpha, delta, words=None) -> Verdict:
 
 
 def vandermonde_check(alpha) -> Verdict:
-    """The multinomial coefficient as a sum of the per-CDT closed forms,
-    numerically and as residues mod q^n - 1."""
+    """The multinomial coefficient as a sum of the per-CDT closed forms
+    (closed_forms), numerically and as residues mod q^n - 1."""
     alpha = strong_content(alpha)
     n = sum(alpha)
     total = 0
     gf_total = ResiduePoly.zero(n)
-    for delta in feasible_deltas(alpha):
-        total += count_w_alpha_delta(alpha, delta)
-        gf_total = gf_total + maj_gf_mod_n(alpha, delta)
+    for p, count, tilde in closed_forms(alpha):
+        total += count
+        gf_total = gf_total + _fold_tilde(p, tilde)
     if total != multinomial(alpha):
         return Verdict(False, {"check": "numeric", "sum": total,
                                "multinomial": multinomial(alpha)})
@@ -290,10 +331,12 @@ def vandermonde_check(alpha) -> Verdict:
     return Verdict(True, None)
 
 
-def period_g_check(alpha, delta) -> Verdict:
-    """The maj generating function has period k and period g modulo n."""
+def period_g_check(alpha, delta, tilde=None) -> Verdict:
+    """The maj generating function has period k and period g modulo n: the
+    fold of maj_gf_mod_n, from the tilde generating function a sweep
+    passes (closed_forms), or else from tilde_maj_gf."""
     p = params(alpha, delta)
-    f = maj_gf_mod_n(alpha, delta)
+    f = _fold_tilde(p, tilde_maj_gf(alpha, delta) if tilde is None else tilde)
     if not has_period(f, p.k):
         return Verdict(False, {"check": "period-k", "k": p.k})
     if not has_period(f, p.g):
@@ -334,8 +377,9 @@ def verify_flex_universal(necklace) -> Verdict:
     generating function.  On an orbit of p distinct rotations of a word of
     length n, flex takes the values freq * i for i < p, freq = n / p, and
     these are exactly orbit_gf's exponents; so this checks the code that
-    computes flex, not a deeper claim."""
-    nk = necklace_of(tuple(necklace))
-    return check_csp(rotation_action(nk.members),
-                     brute_gf(nk.members, len(nk.representative),
-                              flex_per_orbit(nk.members).__getitem__))
+    computes flex, not a deeper claim.  The word's necklace is built once,
+    by flex_per_orbit, whose keys are its members in sorted order."""
+    w = tuple(necklace)
+    flexes = flex_per_orbit((w,))
+    members = tuple(flexes)
+    return check_csp(rotation_action(members), brute_gf(members, len(w), flexes.__getitem__))

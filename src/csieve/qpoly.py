@@ -244,6 +244,14 @@ def has_period(f: ResiduePoly, a: int) -> bool:
     return f.shift(a) == f
 
 
+@lru_cache(maxsize=None)
+def _cyclotomic_tail(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The degree D of Phi_m and its nonzero terms (j, c_j) below q^D: the
+    reduction q^D = -sum c_j q^j that evaluate_at_root applies."""
+    phi = cyclotomic(m)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
 def evaluate_at_root(f: ResiduePoly, k: int):
     """Exact value of f at omega_n^k (omega_n a primitive n-th root of unity).
 
@@ -251,14 +259,20 @@ def evaluate_at_root(f: ResiduePoly, k: int):
     the value is an integer iff the reduction of f modulo the minimal
     polynomial Phi_m of omega_n^k, m = n / gcd(n, k), is constant.  At
     m = 1 that value is f(1), the sum of the coefficients.  Otherwise f is
-    folded mod q^m - 1 first, which Phi_m divides, so only the m-term fold
-    is divided by Phi_m.
+    folded mod q^m - 1 first, which Phi_m divides, and the m-term fold is
+    reduced in place from its top term down by the low terms of the monic
+    Phi_m of degree D; no quotient is kept.
     """
     m = f.n // math.gcd(f.n, k)
+    c = f.coeffs
     if m == 1:
-        return sum(f.coeffs)
-    fold = f.coeffs if m == f.n else reduce(f.coeffs, m).coeffs
-    _, rem = poly_divmod(fold, cyclotomic(m))
-    if len(rem) > 1:
-        return None
-    return rem[0] if rem else 0
+        return sum(c)
+    rem = list(c) if m == f.n else [sum(c[i::m]) for i in range(m)]
+    degree, tail = _cyclotomic_tail(m)
+    for i in range(m - 1, degree - 1, -1):
+        top = rem[i]
+        if top:
+            base = i - degree
+            for j, cj in tail:
+                rem[base + j] -= top * cj
+    return None if any(rem[1:degree]) else rem[0]

@@ -13,10 +13,10 @@ from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
 from .insertion import _expansions, _label_spaces, _maj_increment, _recover_labels
-from .formulas import (feasible_deltas, macmahon_check, multichoose, multinomial, params,
-                       period_g_check, vandermonde_check, verify_extension,
-                       verify_flex_maj_equidistribution, verify_flex_universal,
-                       verify_formula_vs_oracle, verify_main_theorem)
+from .formulas import (closed_forms, feasible_deltas, macmahon_check, multichoose,
+                       multinomial, params, period_g_check, vandermonde_check,
+                       verify_extension, verify_flex_maj_equidistribution,
+                       verify_flex_universal, verify_formula_vs_oracle, verify_main_theorem)
 from .subsets import (by_profile, enumerate_multisubsets, enumerate_subsets,
                       subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
@@ -60,12 +60,15 @@ def sweep_main(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
 
 def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
     """The closed forms against enumeration (verify_formula_vs_oracle) on
-    every CDT that enumeration finds or the emptiness test admits."""
+    every CDT that enumeration finds or the emptiness test admits; the
+    closed forms of each content come from one closed_forms walk."""
     for alpha in iter_contents(n_max, max_parts):
         groups = cdt_groups(alpha)
-        for delta in sorted(set(groups).union(feasible_deltas(alpha))):
+        closed = {p.delta: (count, tilde) for p, count, tilde in closed_forms(alpha)}
+        for delta in sorted(set(groups).union(closed)):
             yield ({"alpha": alpha, "delta": delta},
-                   verify_formula_vs_oracle(alpha, delta, groups.get(delta, ())))
+                   verify_formula_vs_oracle(alpha, delta, groups.get(delta, ()),
+                                            closed.get(delta)))
 
 
 def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
@@ -168,9 +171,11 @@ def sweep_vandermonde(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem
 
 
 def sweep_period_g(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
+    """period_g_check on every feasible CDT, each content's tilde
+    generating functions from one closed_forms walk."""
     for alpha in iter_contents(n_max, max_parts):
-        for delta in feasible_deltas(alpha):
-            yield {"alpha": alpha, "delta": delta}, period_g_check(alpha, delta)
+        for p, _, tilde in closed_forms(alpha):
+            yield {"alpha": alpha, "delta": p.delta}, period_g_check(alpha, p.delta, tilde)
 
 
 def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
@@ -282,9 +287,9 @@ class Theorem(NamedTuple):
     verify: Callable[..., Verdict]   # checks one instance
     sweep: Callable[..., Iterator[SweepItem]] | None
     # What one instance enumerates (its carrier, or for vandermonde the
-    # candidate CDTs times the n^2 coefficient products each one's residue
-    # product in maj_gf_mod_n costs), counted without enumerating, for the
-    # enumeration cap; None when the verifier enumerates nothing.
+    # candidate CDTs times n^2 for the coefficient products of each one's
+    # closed forms), counted without enumerating, for the enumeration cap;
+    # None when the verifier enumerates nothing.
     size: Callable[..., int] | None
     # The instance of the sweep with the largest size, from the sweep's
     # bounds (n_max >= 1), so that a sweep is sized before it starts; None

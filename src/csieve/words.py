@@ -326,7 +326,9 @@ def necklace_classes(alpha) -> dict[Composition, list[tuple[Word, int]]]:
 
 def cdt_groups(alpha) -> dict[Composition, list[Word]]:
     """All words of the content, grouped by cyclic descent type padded to
-    len(alpha): the distinct rotations of each necklace of a class of
-    necklace_classes, in lexicographic order."""
-    return {delta: sorted(w[i:] + w[:i] for w, p in members for i in range(p))
+    len(alpha), the keys in the order of necklace_classes: each class is
+    the distinct rotations of each of its necklaces in turn, the necklaces
+    in the order of `necklaces`, each from its least rotation.  The first
+    word of a class is its least; the rest are not sorted."""
+    return {delta: [w[i:] + w[:i] for w, p in members for i in range(p)]
             for delta, members in necklace_classes(alpha).items()}

@@ -80,8 +80,8 @@ MUTANTS = {
     "main": (formulas, "brute_gf", _times_q, 6, 11, 160),
     "tilde-gf": (formulas, "_fold_tilde", _times_q, 8, 27, 786),
     "macmahon": (formulas, "q_multinomial", _zero_prepended, 6, 63, 63),
-    "vandermonde": (formulas, "maj_gf_mod_n", _times_q, 8, 19, 162),
-    "period-g": (formulas, "maj_gf_mod_n", _constant_term_plus_one, 8, 778, 786),
+    "vandermonde": (formulas, "_fold_tilde", _times_q, 8, 19, 162),
+    "period-g": (formulas, "_fold_tilde", _constant_term_plus_one, 8, 778, 786),
     "phi": (insertion, "_insert_triple", _fall_copy_one_gap_late, 6, 129, 160),
     "flex-universal": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 29, 225),
     "flex-maj": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 11, 229),

@@ -296,18 +296,18 @@ def test_an_orbit_size_that_does_not_divide_the_order_is_a_fault(monkeypatch):
 
 def test_an_order_1_check_divides_no_polynomial(monkeypatch):
     # f(1) is the sum of the coefficients and step^0 fixes the whole
-    # carrier, so a check of order 1 reads both without dividing, whether
-    # it holds or fails
-    qpoly.cyclotomic(2)     # cached before counting: building it divides too
+    # carrier, so a check of order 1 reads both without reducing by any
+    # cyclotomic polynomial, whether it holds or fails
     calls = []
-    real = qpoly.poly_divmod
-    monkeypatch.setattr(qpoly, "poly_divmod", lambda a, b: calls.append(b) or real(a, b))
+    real = qpoly._cyclotomic_tail
+    monkeypatch.setattr(qpoly, "_cyclotomic_tail", lambda m: calls.append(m) or real(m))
     carrier = tuple(itertools.combinations_with_replacement(range(4), 2))
     action = subsets.interval_action(4, 1, carrier)
     assert check_csp(action, brute_gf(carrier, 1, sum)) == (True, None)
     assert check_csp(action, ResiduePoly(1, (9,))) == (
         False, {"k": 0, "fixed_points": 10, "evaluation": 9})
     assert calls == []
-    # an order-2 check divides its two-term fold by Phi_2 = 1 + q
+    # an order-2 check reduces its two-term fold by Phi_2 = 1 + q
     assert check_csp(subsets.interval_action(4, 2, carrier), brute_gf(carrier, 2, sum)).holds
-    assert calls == [(1, 1)]
+    assert calls == [2]
+    assert real(2) == (1, ((0, 1),))

@@ -5,13 +5,13 @@ import itertools
 import pytest
 
 from csieve import formulas
-from csieve.formulas import (count_w_alpha_delta, feasible_deltas,
+from csieve.formulas import (closed_forms, count_w_alpha_delta, feasible_deltas,
                              is_nonempty, macmahon_check, maj_gf_mod_n, params,
                              period_g_check, tilde_maj_gf, vandermonde_check,
                              verify_flex_maj_equidistribution,
                              verify_flex_universal, verify_formula_vs_oracle,
                              verify_main_theorem)
-from csieve.qpoly import ResiduePoly, monomial, orbit_gf, reduce
+from csieve.qpoly import ResiduePoly, monomial, orbit_gf, q_binomial, reduce
 from csieve.words import cdt_groups, maj, strong_compositions
 
 
@@ -98,6 +98,49 @@ def test_verify_main_theorem_instances():
     assert verify_main_theorem((2, 2), (0, 2)).holds
     # the running example's class, letters compressed to 1, 2, 3
     assert verify_main_theorem((2, 2, 4), (0, 2, 2)).holds
+
+
+def test_closed_forms_are_the_single_instance_forms():
+    # every strong content with n <= 10 and at most 4 parts, the range of
+    # sweep_formulas and sweep_vandermonde: one walk per content gives each
+    # delta's forms, in the order of feasible_deltas
+    pairs = 0
+    for n in range(1, 11):
+        for parts in range(1, min(4, n) + 1):
+            for alpha in strong_compositions(n, parts):
+                forms = list(closed_forms(alpha))
+                assert [p.delta for p, _, _ in forms] == list(feasible_deltas(alpha))
+                for p, count, tilde in forms:
+                    assert p == params(alpha, p.delta)
+                    assert count == count_w_alpha_delta(alpha, p.delta), p
+                    assert tilde == tilde_maj_gf(alpha, p.delta), p
+                    assert formulas._fold_tilde(p, tilde) == maj_gf_mod_n(alpha, p.delta), p
+                    pairs += 1
+    assert pairs == 2895
+
+
+def test_vandermonde_multiplies_once_per_tree_edge(monkeypatch):
+    # the tree of feasible_deltas((3, 3, 2, 2)) has an edge into each
+    # prefix delta_1..delta_l, l >= 2, of a feasible delta; the closed forms
+    # take two products per edge and one InstanceParams per leaf
+    alpha = (3, 3, 2, 2)
+    deltas = list(feasible_deltas(alpha))
+    edges = {delta[:l] for delta in deltas for l in range(2, len(alpha) + 1)}
+    for a in range(sum(alpha) + 1):
+        for b in range(a + 1):
+            q_binomial(a, b)        # cached before counting: building it multiplies too
+    products, built = [], []
+    real_mul, real_new = formulas.poly_mul, formulas.InstanceParams.__new__
+    monkeypatch.setattr(formulas, "poly_mul",
+                        lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(formulas.InstanceParams, "__new__", staticmethod(
+        lambda cls, alpha, delta: built.append(delta) or real_new(cls, alpha, delta)))
+    assert vandermonde_check(alpha).holds
+    assert len(products) == 2 * len(edges) < 2 * (len(alpha) - 1) * len(deltas)
+    assert built == deltas
+    # feasible_deltas, on the same walk, takes no product
+    products.clear()
+    assert list(feasible_deltas(alpha)) == deltas and not products
 
 
 def test_vandermonde_golden():

@@ -186,9 +186,10 @@ def residues(draw):
 @settings(max_examples=300, deadline=None)
 @given(residues())
 def test_the_fold_gives_the_value_of_the_unfolded_polynomial(f):
-    # evaluate_at_root folds f mod q^m - 1 (or sums it at m = 1) before
-    # dividing by Phi_m; the remainder of the whole f must agree at every k,
-    # a non-integer value (None) included
+    # evaluate_at_root folds f mod q^m - 1 (or sums it at m = 1) and
+    # reduces the fold by Phi_m without a quotient; the remainder of the
+    # whole f under poly_divmod must agree at every k, a non-integer value
+    # (None) included
     for k in range(f.n):
         assert evaluate_at_root(f, k) == unfolded_value(f, k), (f, k)
 

@@ -169,8 +169,10 @@ def cdt_groups_per_word(alpha):
 
 
 def assert_same_groups(alpha):
+    # cdt_groups lists a class necklace by necklace, the reference in
+    # lexicographic order: the same words, and the same key order
     groups, reference = cdt_groups(alpha), cdt_groups_per_word(alpha)
-    assert groups == reference, alpha
+    assert {delta: sorted(ws) for delta, ws in groups.items()} == reference, alpha
     assert list(groups) == list(reference), alpha
 
 
@@ -225,7 +227,9 @@ def test_a_deep_content_has_its_one_necklace():
     # 2000 letters: the walk of the prenecklaces keeps no call stack
     w = (1,) * 1999 + (2,)
     assert list(necklaces((1999, 1))) == [(w, 2000)]
-    assert cdt_groups((1999, 1)) == {(0, 1): sorted(rotate(w, s) for s in range(2000))}
+    groups = cdt_groups((1999, 1))
+    assert list(groups) == [(0, 1)]
+    assert sorted(groups[(0, 1)]) == sorted(rotate(w, s) for s in range(2000))
 
 
 def test_flex_per_orbit_is_flex():
