@@ -306,10 +306,10 @@ def verify_formula_vs_oracle(alpha, delta, words=None, closed=None) -> Verdict:
     if tilde != formula:
         return Verdict(False, {"check": "tilde_maj_gf", "enumerated": tilde,
                                "formula": formula})
-    oracle, closed = reduce(tally(majs), p.n), _fold_tilde(p, formula)
-    if oracle != closed:
+    oracle, folded = reduce(tally(majs), p.n), _fold_tilde(p, formula)
+    if oracle != folded:
         return Verdict(False, {"check": "maj_gf_mod_n", "enumerated": oracle.coeffs,
-                               "formula": closed.coeffs})
+                               "formula": folded.coeffs})
     return Verdict(True, None)
 
 
