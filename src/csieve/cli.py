@@ -18,8 +18,7 @@ from math import log10
 from . import formulas, sweeps
 from .qpoly import poly_text, q_multinomial, reduce
 from .words import (as_word, cdt, cdt_groups, cdes, content, cyclic_descent_set, des,
-                    descent_set, enumerate_by_content, flex, freq, inv, lex, maj, pad_to,
-                    period)
+                    descent_set, enumerate_by_content, flex, inv, maj, necklace, pad_to)
 
 DEFAULT_CAP = 10 ** 7
 
@@ -88,6 +87,9 @@ def check_cap(size: int) -> None:
 
 def cmd_stats(args) -> int:
     w = parse_word(args.word)
+    _, period = necklace(w)
+    freq = len(w) // period
+    w_flex = flex(w)
     report = {
         "word": list(w),
         "length": len(w),
@@ -99,10 +101,10 @@ def cmd_stats(args) -> int:
         "maj": maj(w),
         "inv": inv(w),
         "cdt": list(cdt(w)),
-        "period": period(w),
-        "freq": freq(w),
-        "lex": lex(w),
-        "flex": flex(w),
+        "period": period,
+        "freq": freq,
+        "lex": w_flex // freq,
+        "flex": w_flex,
     }
     if args.format == "json":
         print(json.dumps(report, indent=2))

@@ -15,7 +15,7 @@ from .actions import CyclicAction, Verdict, check_csp, check_extension
 from .qpoly import (ONE, IntPoly, ResiduePoly, monomial, poly_mul, q_binomial,
                     q_multichoose, q_multinomial, has_period, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex_per_orbit, inv,
-                    is_strong, maj)
+                    is_strong, maj, necklace as necklace_of, necklace_classes)
 
 
 def multichoose(a: int, b: int) -> int:
@@ -255,8 +255,8 @@ def _word_class(p: InstanceParams, words):
 
 # ---------------------------------------------------------------------------
 # theorem verifiers, one instance each.  A sweep that has already
-# enumerated the class passes its words; without them a verifier
-# enumerates the class itself.
+# enumerated the class passes its words (flex-maj: its necklaces); without
+# them a verifier enumerates the class itself.
 
 def verify_main_theorem(alpha, delta, words=None) -> Verdict:
     """The refinement CSP: rotation on the words of content alpha and CDT
@@ -357,13 +357,16 @@ def macmahon_check(alpha) -> Verdict:
     return Verdict(True, None)
 
 
-def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
-    """flex and maj agree as distributions modulo n on the word class;
-    flex is taken once per orbit (flex_per_orbit)."""
+def verify_flex_maj_equidistribution(alpha, delta, necklaces=None) -> Verdict:
+    """flex and maj agree as distributions modulo n on the word class,
+    given (or else read from necklace_classes) as its necklaces' (least
+    rotation, period) pairs: the keys of flex_per_orbit are the class."""
     p = params(alpha, delta)
-    words = _word_class(p, words)
-    flex_gf = brute_gf(words, p.n, flex_per_orbit(words).__getitem__)
-    maj_gf = brute_gf(words, p.n, maj)
+    if necklaces is None:
+        necklaces = necklace_classes(p.alpha).get(p.delta, [])
+    flexes = flex_per_orbit(necklaces)
+    flex_gf = brute_gf(flexes, p.n, flexes.__getitem__)
+    maj_gf = brute_gf(flexes, p.n, maj)
     if flex_gf != maj_gf:
         return Verdict(False, {"check": "flex-vs-maj", "flex": flex_gf.coeffs,
                                "maj": maj_gf.coeffs})
@@ -372,14 +375,15 @@ def verify_flex_maj_equidistribution(alpha, delta, words=None) -> Verdict:
 
 def verify_flex_universal(necklace) -> Verdict:
     """On the necklace of the given word, flex sieves the single orbit:
-    method 2 of the CSP check compares its flex generating function, with
-    flex taken once for the orbit (flex_per_orbit), with the orbit
-    generating function.  On an orbit of p distinct rotations of a word of
-    length n, flex takes the values freq * i for i < p, freq = n / p, and
-    these are exactly orbit_gf's exponents; so this checks the code that
-    computes flex, not a deeper claim.  The word's necklace is built once,
-    by flex_per_orbit, whose keys are its members in sorted order."""
-    w = tuple(necklace)
-    flexes = flex_per_orbit((w,))
+    method 2 of the CSP check compares its flex generating function with
+    the orbit generating function.  The word's (least rotation, period)
+    pair comes from words.necklace, and flex_per_orbit ranks the orbit's
+    rotations once; its keys are those rotations in sorted order.  On an
+    orbit of p distinct rotations of a word of length n, flex takes the
+    values freq * i for i < p, freq = n / p, and these are exactly
+    orbit_gf's exponents; so this checks the code that computes flex, not
+    a deeper claim."""
+    flexes = flex_per_orbit((necklace_of(necklace),))
     members = tuple(flexes)
-    return check_csp(rotation_action(members), brute_gf(members, len(w), flexes.__getitem__))
+    return check_csp(rotation_action(members),
+                     brute_gf(members, len(members[0]), flexes.__getitem__))

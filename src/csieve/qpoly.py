@@ -46,8 +46,13 @@ def poly_sub(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def poly_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The product a * b; a factor ONE gives back the other operand."""
     if not a or not b:
         return ZERO
+    if b == ONE:
+        return a
+    if a == ONE:
+        return b
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:

@@ -188,15 +188,25 @@ def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
 
 def sweep_flex_maj(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
     """flex and maj equidistributed mod n (verify_flex_maj_equidistribution)
-    on every content/CDT class; all parts by default."""
+    on every content/CDT class, each handed its necklaces from
+    necklace_classes; all parts by default."""
     for alpha in iter_contents(n_max, max_parts):
-        for delta, words in sorted(cdt_groups(alpha).items()):
+        for delta, members in sorted(necklace_classes(alpha).items()):
             yield ({"alpha": alpha, "delta": delta},
-                   verify_flex_maj_equidistribution(alpha, delta, words))
+                   verify_flex_maj_equidistribution(alpha, delta, members))
 
 
 # ---------------------------------------------------------------------------
 # subset-side sweeps
+
+def divisor_pairs(n_max: int) -> Iterator[tuple[int, int]]:
+    """(n, d) for every n <= n_max and every divisor d of n, both
+    ascending: the interval sizes of the subset-side sweeps."""
+    for n in range(1, n_max + 1):
+        for d in range(1, n + 1):
+            if n % d == 0:
+                yield n, d
+
 
 def _sweep_profiles(n_max: int, enumerate_group, verify) -> Iterator[SweepItem]:
     """`verify` on every d-interval profile alpha of k <= K_MAX over
@@ -205,14 +215,11 @@ def _sweep_profiles(n_max: int, enumerate_group, verify) -> Iterator[SweepItem]:
     (lexicographically), are the profiles swept, each handed its bucket as
     the carrier.  The two profile sweeps `yield from` it, so each stays a
     generator function, which the benchmark's tracer times across next()."""
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for k in range(0, K_MAX + 1):
-                buckets = by_profile(enumerate_group(n, k), n, d)
-                for alpha in sorted(buckets):
-                    yield {"n": n, "d": d, "alpha": alpha}, verify(n, d, alpha, buckets[alpha])
+    for n, d in divisor_pairs(n_max):
+        for k in range(0, K_MAX + 1):
+            buckets = by_profile(enumerate_group(n, k), n, d)
+            for alpha in sorted(buckets):
+                yield {"n": n, "d": d, "alpha": alpha}, verify(n, d, alpha, buckets[alpha])
 
 
 def sweep_multisubset(n_max: int = 10) -> Iterator[SweepItem]:
@@ -252,22 +259,16 @@ def sweep_chains(n_max: int = 12) -> Iterator[SweepItem]:
 
 
 def sweep_g_dd(n_max: int = 12) -> Iterator[SweepItem]:
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for k in range(0, n + 1):
-                yield {"n": n, "d": d, "k": k}, verify_g_dd_trivial(n, k, d)
+    for n, d in divisor_pairs(n_max):
+        for k in range(0, n + 1):
+            yield {"n": n, "d": d, "k": k}, verify_g_dd_trivial(n, k, d)
 
 
 def sweep_action_isomorphism(n_max: int = 12) -> Iterator[SweepItem]:
-    for n in range(1, n_max + 1):
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            for k in range(0, min(K_MAX, n) + 1):
-                yield ({"n": n, "d": d, "k": k},
-                       verify_isomorphic_actions(n, d, k))
+    for n, d in divisor_pairs(n_max):
+        for k in range(0, min(K_MAX, n) + 1):
+            yield ({"n": n, "d": d, "k": k},
+                   verify_isomorphic_actions(n, d, k))
 
 
 def sweep_mbs(n_max: int = 8) -> Iterator[SweepItem]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from operator import sub
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -147,55 +147,40 @@ def cdt(w) -> Composition:
 # ---------------------------------------------------------------------------
 # necklaces
 
-class Necklace(NamedTuple):
-    """The rotation class of a word.  An immutable named tuple of its four
-    fields, equal to that plain tuple, with len() 4 and unpacking."""
-
-    representative: Word          # lexicographically least rotation
-    members: tuple[Word, ...]     # distinct rotations, lex sorted
-    period: int
-    frequency: int
-
-
-def necklace(w: Iterable[int]) -> Necklace:
+def necklace(w: Iterable[int]) -> tuple[Word, int]:
+    """(least rotation, period) of the necklace of w, the pair `necklaces`
+    yields for it, from one pass over the rotations of w: the period is
+    the first step whose rotation is w again, and the least of the
+    rotations before it is the least of all."""
     w = tuple(w)
-    if not w:
-        raise ValueError("necklace of the empty word is undefined")
-    members = tuple(sorted({w[s:] + w[:s] for s in range(len(w))}))
-    p = len(members)
-    return Necklace(members[0], members, p, len(w) // p)
+    least = w
+    for s in range(1, len(w)):
+        r = w[s:] + w[:s]
+        if r == w:
+            return least, s
+        if r < least:
+            least = r
+    return least, len(w) or 1
 
 
-def period(w) -> int:
-    return necklace(w).period
-
-
-def freq(w) -> int:
-    return necklace(w).frequency
-
-
-def lex(w) -> int:
-    """0-based index of w among the lex-sorted members of its necklace."""
-    w = tuple(w)
-    return necklace(w).members.index(w)
+def flex_per_orbit(pairs: Iterable[tuple[Word, int]]) -> dict[Word, int]:
+    """flex of every rotation of each necklace, given as (least rotation,
+    period) pairs: each of the p distinct rotations gets its frequency
+    n / p times its index among the rotations in lexicographic order."""
+    out: dict[Word, int] = {}
+    for w, p in pairs:
+        f = len(w) // p
+        rotations = sorted(w[s:] + w[:s] for s in range(p))
+        out.update((u, f * i) for i, u in enumerate(rotations))
+    return out
 
 
 def flex(w) -> int:
-    """freq(w) * lex(w); a universal cyclic sieving statistic."""
-    nk = necklace(tuple(w))
-    return nk.frequency * nk.members.index(tuple(w))
-
-
-def flex_per_orbit(words: Iterable[Word]) -> dict[Word, int]:
-    """flex of every word of `words` and of its rotations, with one
-    necklace() per orbit: on first sight of a word, each member of its
-    necklace gets frequency times its index among the sorted members."""
-    out: dict[Word, int] = {}
-    for w in words:
-        if w not in out:
-            nk = necklace(w)
-            out.update((u, nk.frequency * i) for i, u in enumerate(nk.members))
-    return out
+    """freq(w) * lex(w), a universal cyclic sieving statistic: the
+    frequency n / period times the 0-based index of w among its distinct
+    rotations in lexicographic order."""
+    w = tuple(w)
+    return flex_per_orbit((necklace(w),))[w]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
 from csieve.subsets import (enumerate_g_de, enumerate_g_chain, enumerate_s_kb,
                             mbs, rotate_within_intervals, sum_prime)
 from csieve.words import (as_word, cdes, cdt, content, cyclic_descent_set,
-                          descent_set, flex, freq, inv, maj, necklace, period)
+                          descent_set, flex, inv, maj, necklace)
 
 # The instances each sweep checks at its default bounds: a shrunk default
 # would still hold, so the counts are pinned.
@@ -147,8 +147,12 @@ def test_criterion_1_golden_examples():
     ok &= cyclic_descent_set(w) == {3, 4, 7, 8}
     ok &= maj(w) == 14 and inv(w) == 9 and cdes(w) == 4
     ok &= content(w) == (2, 0, 2, 0, 4)
-    ok &= period(w) == 4 and freq(w) == 2
-    ok &= [flex(u) for u in necklace(w).members] == [0, 2, 4, 6]
+    # its own least rotation, of period 4 (frequency 2); its four distinct
+    # rotations in lex order carry flex = freq * lex = 0, 2, 4, 6
+    ok &= necklace(w) == (w, 4)
+    ok &= [flex(as_word(u)) for u in ([1, 5, 5, 3, 1, 5, 5, 3], [3, 1, 5, 5, 3, 1, 5, 5],
+                                      [5, 3, 1, 5, 5, 3, 1, 5], [5, 5, 3, 1, 5, 5, 3, 1])
+           ] == [0, 2, 4, 6]
 
     ok &= cdt(as_word([1, 4, 3, 1, 2, 4, 1, 1, 4, 2, 2, 3])) == (0, 2, 1, 2)
 

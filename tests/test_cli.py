@@ -50,6 +50,11 @@ def test_stats_json(capsys):
     assert report["cyclic_descent_set"] == [3, 4, 7, 8]
     assert report["content"] == [2, 0, 2, 0, 4]
     assert report["period"] == 4 and report["freq"] == 2
+    # the third of its four sorted rotations: lex 2, so flex = 2 * 2
+    code, out, _ = run(capsys, "stats", "53155315", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert [report[key] for key in ("period", "freq", "lex", "flex")] == [4, 2, 2, 4]
 
 
 def test_gf_csv(capsys):
@@ -168,6 +173,12 @@ def test_verify_macmahon_honours_max_parts(capsys):
                        "--max-parts", "1")
     assert code == 0
     assert [i["alpha"] for i in json.loads(out)["instances"]] == [[1], [2], [3]]
+
+
+def test_gf_of_empty_content_is_one_for_every_statistic(capsys):
+    # the empty word has one rotation, so flex is 0 as maj and inv are
+    for stat in ("maj", "inv", "flex"):
+        assert run(capsys, "gf", "--alpha", "0", "--stat", stat)[:2] == (0, "1\n")
 
 
 def test_gf_mod_of_empty_content_exits_2(capsys):

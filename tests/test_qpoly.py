@@ -21,6 +21,15 @@ def test_poly_basics():
     assert monomial(3) == (0, 0, 0, 1)
 
 
+def test_a_unit_factor_gives_back_the_other_operand():
+    # the closed forms multiply by q_binomial(falls, 0) = ONE at many steps
+    p = (1, 2, 1)
+    assert poly_mul(p, ONE) is p
+    assert poly_mul(ONE, p) is p
+    assert poly_mul(ONE, ZERO) == ZERO
+    assert poly_mul(p, (1, 1)) == (1, 3, 3, 1)
+
+
 def test_poly_divmod():
     # (q^2 - 1) = (q - 1)(q + 1)
     assert poly_divexact((-1, 0, 1), (-1, 1)) == (1, 1)

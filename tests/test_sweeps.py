@@ -4,14 +4,14 @@ forms against enumeration."""
 
 import inspect
 import itertools
+import sys
 from collections import Counter
 
 import pytest
 
 from csieve import formulas, insertion, subsets, sweeps, words
 from csieve.insertion import insert_triple, phi
-from csieve.words import (cdt, cdt_groups, enumerate_by_content, maj, necklace,
-                          strong_compositions)
+from csieve.words import cdt, cdt_groups, enumerate_by_content, maj, strong_compositions
 
 
 def test_sweep_phi_small():
@@ -222,7 +222,30 @@ def test_sweep_flex_universal_checks_every_necklace_once():
             if verdict.holds]
     assert keys == [w for n in range(1, 10)
                     for w in itertools.product(range(1, sweeps.FLEX_ALPHABET + 1), repeat=n)
-                    if necklace(w).representative == w]
+                    if w == min(w[s:] + w[:s] for s in range(n))]
+
+
+def test_the_flex_sweeps_build_each_necklace_once(monkeypatch):
+    # every binding of words.necklace and words.cdt_groups in the package
+    # counted: the flex-maj sweep reads its classes off necklace_classes
+    # and calls neither, and flex-universal takes one pair per instance
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("csieve.")]
+    for name in ("necklace", "cdt_groups"):
+        real = getattr(words, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        for module in modules:
+            for attribute, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attribute, counted)
+    assert sweeps.run_sweep(sweeps.sweep_flex_maj(6))["holds"]
+    assert calls == Counter()
+    report = sweeps.run_sweep(sweeps.sweep_flex_universal(5))
+    assert report["holds"]
+    assert calls == Counter({"necklace": report["instances_checked"]})
 
 
 @pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from csieve.formulas import rotation_action
 from csieve.words import (as_word, cdes, cdt, cdt_groups, content, cyclic_descent_set,
                           des, descent_set, enumerate_by_content, flex, flex_per_orbit,
-                          freq, inv, lex, maj, necklace, necklace_classes, necklaces,
-                          pad_to, period, strong_compositions)
+                          inv, maj, necklace, necklace_classes, necklaces, pad_to,
+                          strong_compositions)
 
 W = as_word([1, 5, 5, 3, 1, 5, 5, 3])
 
@@ -23,8 +23,8 @@ def test_running_example_statistics():
     assert maj(W) == 14
     assert inv(W) == 9
     assert content(W) == (2, 0, 2, 0, 4)
-    assert period(W) == 4
-    assert freq(W) == 2
+    # W is its own least rotation, of period 4, so its frequency is 8 / 4
+    assert necklace(W) == (W, 4)
 
 
 def test_cdt_worked_example():
@@ -57,31 +57,48 @@ def test_rotate():
     assert rotate((), 5) == ()
 
 
+def sorted_rotations(w):
+    """The reference necklace: the distinct rotations of w, sorted."""
+    return sorted({rotate(w, s) for s in range(len(w))})
+
+
+def reference_flexes(words):
+    """The definition, orbit by orbit: flex = freq * lex, where freq is n
+    over the number of distinct rotations and lex the index among them,
+    sorted, for every rotation of every word of `words`."""
+    out = {}
+    for w in words:
+        if w not in out:
+            rotations = sorted_rotations(w)
+            f = len(w) // len(rotations)
+            out.update((u, f * i) for i, u in enumerate(rotations))
+    return out
+
+
 def test_necklace_of_running_example():
-    nk = necklace(W)
-    assert nk.period == 4
-    assert nk.frequency == 2
-    assert len(nk.members) == 4
-    assert nk.representative == min(nk.members)
-    assert W in nk.members
-    # a named tuple of its four fields
-    assert necklace((2, 1, 2, 1)) == ((1, 2, 1, 2), ((1, 2, 1, 2), (2, 1, 2, 1)), 2, 2)
-    with pytest.raises(AttributeError):
-        nk.period = 1
+    # the (least rotation, period) pair, the same from every rotation
+    for s in range(8):
+        assert necklace(rotate(W, s)) == (W, 4)
+    assert necklace((2, 1, 2, 1)) == ((1, 2, 1, 2), 2)
+    assert necklace([3]) == ((3,), 1)
+    # the empty word has one rotation, as necklaces(()) says
+    assert necklace(()) == ((), 1)
 
 
 def test_flex_table_of_running_example():
-    # the four rotations in lex order carry flex = 0, 2, 4, 6
-    nk = necklace(W)
-    assert [flex(u) for u in nk.members] == [0, 2, 4, 6]
-    assert lex(nk.members[2]) == 2
-    assert flex(W) == freq(W) * lex(W)
+    # the four rotations in lex order carry flex = freq * lex = 0, 2, 4, 6
+    rotations = sorted_rotations(W)
+    assert rotations == [W, (3, 1, 5, 5, 3, 1, 5, 5), (5, 3, 1, 5, 5, 3, 1, 5),
+                         (5, 5, 3, 1, 5, 5, 3, 1)]
+    assert [flex(u) for u in rotations] == [0, 2, 4, 6]
+    assert flex_per_orbit([necklace(W)]) == dict(zip(rotations, [0, 2, 4, 6]))
 
 
 def test_flex_on_primitive_word():
+    # three distinct rotations: frequency 1, so flex is the rank itself
     w = (1, 2, 3)
-    assert freq(w) == 1
-    assert sorted(flex(u) for u in necklace(w).members) == [0, 1, 2]
+    assert necklace(w) == (w, 3)
+    assert [flex(u) for u in sorted_rotations(w)] == [0, 1, 2]
 
 
 def test_composition_helpers():
@@ -207,10 +224,17 @@ def test_cdt_is_constant_on_every_necklace():
 
 
 def test_necklaces_are_the_least_rotations_with_their_periods():
+    # the reference: each word of the content that is the least of its
+    # distinct rotations, with their number; necklace(w) of every word is
+    # the pair of its class
     for alpha in list(contents_up_to(7)) + ZERO_PART_CONTENTS:
-        assert list(necklaces(alpha)) == [
-            (w, period(w)) for w in enumerate_by_content(alpha)
-            if necklace(w).representative == w], alpha
+        reference = []
+        for w in enumerate_by_content(alpha):
+            rotations = sorted_rotations(w)
+            if rotations[0] == w:
+                reference.append((w, len(rotations)))
+            assert necklace(w) == (rotations[0], len(rotations)), w
+        assert list(necklaces(alpha)) == reference, alpha
     assert list(necklaces(())) == [((), 1)]
 
 
@@ -233,10 +257,13 @@ def test_a_deep_content_has_its_one_necklace():
 
 
 def test_flex_per_orbit_is_flex():
-    words = cdt_groups((4, 2, 3))[(0, 2, 1)]
-    flexes = flex_per_orbit(words)
-    assert set(flexes) == set(words)
-    assert all(flexes[w] == flex(w) for w in words)
+    # on the necklaces of a content, flex_per_orbit has every word of the
+    # content once, with freq * lex by the reference
+    for alpha in list(contents_up_to(8)) + ZERO_PART_CONTENTS:
+        flexes = flex_per_orbit(necklaces(alpha))
+        words = list(enumerate_by_content(alpha))
+        assert sorted(flexes) == words, alpha
+        assert flexes == reference_flexes(words), alpha
 
 
 # Words of length <= 10 over the letters 1..5, any of them possibly absent.
@@ -279,5 +306,7 @@ def test_cdt_is_the_filtration_definition(w):
 @settings(max_examples=200, deadline=None)
 @given(short_words.filter(bool))
 def test_necklace_and_the_rotation_step_agree_with_rotate(w):
-    assert necklace(w).members == tuple(sorted({rotate(w, s) for s in range(len(w))}))
+    rotations = [rotate(w, s) for s in range(len(w))]
+    assert necklace(w) == (min(rotations), len(set(rotations)))
+    assert flex(w) == reference_flexes([w])[w]
     assert rotation_action([w]).step(w) == rotate(w, 1)
