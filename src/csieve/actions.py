@@ -3,17 +3,18 @@
 An action holds its generator as a permutation of carrier indices, built
 and validated once by `CyclicAction.successor`; both CSP methods run on
 that permutation.  A CSP check always runs both equivalent tests:
-fixed-point counts of every power of the generator against root-of-unity
+fixed-point counts of powers of the generator against root-of-unity
 evaluations, and congruence with the sum of orbit generating functions
 mod q^n - 1.  The two are provably equivalent, so disagreement between
-them is a hard fault (an implementation bug), not a verdict.  The value
-of f at omega^k depends only on the order m = n / gcd(n, k) of omega^k,
-so method 1 evaluates f once per order.
+them is a hard fault (an implementation bug), not a verdict.  Both the
+fixed points of step^k (given step^n = 1, which method 2 enforces) and
+the value of f at omega^k depend only on gcd(n, k), so method 1 checks
+k = 0 and the proper divisors of n, one power and one evaluation each.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
 from operator import eq
 from typing import Callable, NamedTuple, Optional
 
@@ -151,6 +152,13 @@ def restrict_to_subgroup(a: CyclicAction, g: int) -> CyclicAction:
     return CyclicAction(g, carrier, substep)
 
 
+@lru_cache(maxsize=None)
+def _fixed_point_powers(n: int) -> tuple[int, ...]:
+    """0 and the proper divisors of n, ascending: the powers k at which
+    method 1 of `check_csp` compares fixed points with f(omega^k)."""
+    return (0,) + tuple(k for k in range(1, n // 2 + 1) if n % k == 0)
+
+
 def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     """Dual cyclic sieving check for the triple (carrier, C_n, f).  A step
     that leaves the carrier fails it with a closure witness: the element
@@ -160,7 +168,10 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     Neither method pays for what it already knows: at k = 0 the fixed
     points are the whole carrier, and f(1) is the sum of f's coefficients
     (`evaluate_at_root` at order 1), so a check of order 1 divides no
-    polynomial; method 2 reads each orbit's size once and compares the
+    polynomial; beyond k = 0 method 1 checks only the proper divisors k
+    of n, composing the successor up to the largest: every other k agrees
+    with gcd(n, k), a smaller divisor, so the first failing k is among
+    them; method 2 reads each orbit's size once and compares the
     coefficients one by one only to name the first that differs."""
     n = a.order
     if f.n != n:
@@ -170,21 +181,24 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     except NotClosed as exc:
         return exc.verdict()
 
-    # Method 1: the fixed points of every power step^k against f(omega^k),
-    # evaluated once per order m of omega^k.  step^0 fixes the whole
-    # carrier, and step^1 is the successor itself.
+    # Method 1: the fixed points of step^k against f(omega^k).  Once
+    # step^n is the identity (method 2 raises WrongOrder otherwise),
+    # step^k fixes what step^gcd(n, k) fixes and f(omega^k) depends only on
+    # gcd(n, k), so k = 0 and the proper divisors of n, in ascending order,
+    # decide every k and meet the first failing one.  step^0 fixes the
+    # whole carrier; step^k is composed only up to the largest of them.
     witness1 = None
     identity = range(len(perm))
-    current = perm                  # step^k as an index list, for k >= 1
-    values = {}                     # m -> f at a primitive m-th root of unity
-    for k in range(n):
-        if k > 1:
-            current = list(map(perm.__getitem__, current))
-        fixed = sum(map(eq, current, identity)) if k else len(perm)
-        m = n // gcd(n, k)
-        if m not in values:
-            values[m] = evaluate_at_root(f, k)
-        value = values[m]
+    current, power = perm, 1        # step^power as an index list
+    for k in _fixed_point_powers(n):
+        if k:
+            for _ in range(power, k):
+                current = list(map(perm.__getitem__, current))
+            power = k
+            fixed = sum(map(eq, current, identity))
+        else:
+            fixed = len(perm)
+        value = evaluate_at_root(f, k)
         if value != fixed:
             witness1 = {"k": k, "fixed_points": fixed,
                         "evaluation": value if value is not None else "non-integer"}

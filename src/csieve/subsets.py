@@ -10,6 +10,7 @@ splits into the d-intervals [(j-1)d, jd-1], j = 1..n/d.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
 from operator import eq
@@ -259,12 +260,13 @@ def verify_chain_refinement(n: int, k: int, chain) -> Verdict:
     e, and Sum' having period e modulo d.  The family comes in profile
     order; no verdict depends on it except the closure witness, which
     names the first element in that order and appears only for a family
-    that is not closed."""
+    that is not closed.  Every member has k elements, so Sum's generating
+    function is tallied once and shifted by -C(k, 2) to give Sum'."""
     chain = validate_chain(n, k, chain)
     e, d = chain[0], chain[1]
     carrier = tuple(enumerate_g_chain(n, k, chain))
     action = interval_action(n, d, carrier)
-    f = brute_gf(carrier, d, sum_prime)
+    f = brute_gf(carrier, d, sum).shift(-comb(k, 2))
     verdict = check_csp(action, f)    # fails with a closure witness if G_D is not closed
     if not verdict.holds:
         return verdict
@@ -289,39 +291,53 @@ def verify_g_dd_trivial(n: int, k: int, d: int) -> Verdict:
     """The interval action fixes every member of G_{d,d}, whose Sum' values
     all vanish mod d, making the generating function a constant.  The
     action is built once: a member is fixed when the successor maps its
-    index to itself, and the same action goes on to the CSP check.  A
-    witness names the first failing member in carrier order; only when
-    the step leaves the carrier are the members stepped again to find it."""
+    index to itself, and the same action goes on to the CSP check.  Sum'
+    is read off Sum's generating function, tallied once and shifted by
+    -C(k, 2): it vanishes mod d on every member when that function is a
+    constant.  A witness names the first failing member in carrier order;
+    only for a failing family are the members scanned again to find it,
+    and only when the step leaves the carrier are they stepped again."""
     _check_universe(n, d, k)
     carrier = tuple(enumerate_g_de(n, k, d, d))
     if not carrier:
         return Verdict(True, None)
     action = interval_action(n, d, carrier)
+    low = comb(k, 2)
+    f = brute_gf(carrier, d, sum).shift(-low)
     try:
         fixed = list(map(eq, action.successor(), range(len(carrier))))
     except NotClosed:
         fixed = [action.step(a) == a for a in carrier]
-    for a, is_fixed in zip(carrier, fixed):
-        if not is_fixed:
-            return Verdict(False, {"check": "not-fixed", "subset": a})
-        if sum_prime(a) % d:
-            return Verdict(False, {"check": "sum-prime-mod-d", "subset": a})
-    return check_csp(action, brute_gf(carrier, d, sum_prime))
+    if not all(fixed) or any(f.coeffs[1:]):
+        for a, is_fixed in zip(carrier, fixed):
+            if not is_fixed:
+                return Verdict(False, {"check": "not-fixed", "subset": a})
+            if (sum(a) - low) % d:
+                return Verdict(False, {"check": "sum-prime-mod-d", "subset": a})
+    return check_csp(action, f)
 
 
-def orbit_size_multiset(action: CyclicAction) -> tuple[int, ...]:
-    return tuple(sorted(orbits(action).sizes))
+def orbit_size_counts(action: CyclicAction) -> list[list[int]]:
+    """[size, number of orbits of that size] for each orbit size of the
+    action, by ascending size: its orbit-size multiset, JSON-ready."""
+    return [[size, count] for size, count in sorted(Counter(orbits(action).sizes).items())]
 
 
 def verify_isomorphic_actions(n: int, d: int, k: int) -> Verdict:
     """The interval rotation and the order-d global rotation have the same
-    orbit structure on both k-subsets and k-multisubsets."""
+    orbit structure on both k-subsets and k-multisubsets.  Where the two
+    rotations have one table (d = 1, the identity, and d = n, x -> x + 1
+    mod n) each carrier is decomposed once.  A failure names the carrier
+    and gives both actions' orbit sizes with their counts."""
     _check_universe(n, d, k)
+    same = _interval_table(n, d) == _global_table(n, d)
     for enum in (enumerate_subsets, enumerate_multisubsets):
         carrier = tuple(enum(n, k))
-        if (orbit_size_multiset(interval_action(n, d, carrier))
-                != orbit_size_multiset(global_action(n, d, carrier))):
-            return Verdict(False, {"check": enum.__name__})
+        interval = orbit_size_counts(interval_action(n, d, carrier))
+        rotation = interval if same else orbit_size_counts(global_action(n, d, carrier))
+        if interval != rotation:
+            return Verdict(False, {"check": enum.__name__, "interval_orbit_sizes": interval,
+                                   "global_orbit_sizes": rotation})
     return Verdict(True, None)
 
 

@@ -20,7 +20,7 @@ from csieve.insertion import insert_triple, leaves, phi, power_image
 from csieve.qpoly import (ResiduePoly, evaluate_at_root, has_period, orbit_gf,
                           refold)
 from csieve.subsets import (enumerate_g_de, enumerate_g_chain, enumerate_s_kb,
-                            mbs, rotate_within_intervals, sum_prime)
+                            enumerate_subsets, mbs, rotate_within_intervals, sum_prime)
 from csieve.words import (as_word, cdes, cdt, content, cyclic_descent_set,
                           descent_set, flex, inv, maj, necklace)
 
@@ -87,8 +87,8 @@ MUTANTS = {
     "flex-maj": (formulas, "flex_per_orbit", _every_value_plus_one, 6, 11, 229),
     "multisubset": (subsets, "brute_gf", _times_q, 8, 57, 1471),
     "subset-star": (subsets, "brute_gf", _times_q, 8, 47, 522),
-    "chain": (subsets, "sum_prime", _plus_one, 8, 22, 91),
-    "g-dd": (subsets, "sum_prime", _plus_one, 8, 32, 123),
+    "chain": (subsets, "brute_gf", _times_q, 8, 22, 91),
+    "g-dd": (subsets, "brute_gf", _times_q, 8, 32, 123),
     "mbs": (subsets, "_sorted_mbs", _plus_one, 8, 22, 164),
     "action-isomorphism": (subsets, "_global_table", _global_table_of_one_interval,
                            8, 45, 91),
@@ -136,6 +136,40 @@ def test_theorem_sweep_fails_under_its_mutant(capsys, monkeypatch, name):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert (len(report["failures"]), report["instances_checked"]) == (failing, checked)
+
+
+def element_orbit_size_counts(carrier, step) -> list[list[int]]:
+    """[size, count] of each orbit size of step on carrier, ascending,
+    from the orbits traced element by element."""
+    counts, seen = {}, set()
+    for a in carrier:
+        if a in seen:
+            continue
+        size, b = 0, a
+        while b not in seen:
+            seen.add(b)
+            size, b = size + 1, step(b)
+        counts[size] = counts.get(size, 0) + 1
+    return [[size, counts[size]] for size in sorted(counts)]
+
+
+def test_an_action_isomorphism_failure_gives_both_orbit_size_counts(capsys, monkeypatch):
+    module, attribute, mutate, n_max, _, _ = MUTANTS["action-isomorphism"]
+    monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    cli.main(["verify", "action-isomorphism", "--n-max", str(n_max), "--format", "json",
+              "--failures-only"])
+    first = json.loads(capsys.readouterr().out)["failures"][0]
+    # the 1-subsets of [0, 1]: one orbit of size 2 under the interval
+    # rotation, two fixed points under the mutant's identity
+    assert first == {"n": 2, "d": 2, "k": 1, "witness": {
+        "check": "enumerate_subsets", "interval_orbit_sizes": [[2, 1]],
+        "global_orbit_sizes": [[1, 2]]}}
+    n, d, k = first["n"], first["d"], first["k"]
+    carrier = list(enumerate_subsets(n, k))
+    for key, step in (("interval_orbit_sizes", rotate_within_intervals),
+                      ("global_orbit_sizes", subsets.rotate_global)):
+        assert first["witness"][key] == element_orbit_size_counts(
+            carrier, lambda a: step(a, n, d))
 
 
 def test_criterion_1_golden_examples():

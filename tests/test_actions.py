@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csieve import qpoly, subsets
+from csieve import actions, qpoly, subsets
 from csieve.actions import (CyclicAction, NotBijective, NotClosed, Verdict, WrongOrder,
                             check_csp, check_extension, check_refinement,
                             orbits, restrict_to_subgroup)
@@ -311,3 +311,49 @@ def test_an_order_1_check_divides_no_polynomial(monkeypatch):
     assert check_csp(subsets.interval_action(4, 2, carrier), brute_gf(carrier, 2, sum)).holds
     assert calls == [2]
     assert real(2) == (1, ((0, 1),))
+
+
+def test_method_1_evaluates_only_at_0_and_the_proper_divisors(monkeypatch):
+    # step^k fixes what step^gcd(n, k) fixes, and f(omega^k) depends only
+    # on gcd(n, k): every verdict, with its first failing k, is the
+    # element-level reference's, read from k = 0 and the proper divisors
+    # of n up to the first failing one
+    calls = []
+    real = actions.evaluate_at_root
+    monkeypatch.setattr(actions, "evaluate_at_root",
+                        lambda f, k: calls.append(k) or real(f, k))
+    for n in range(1, 9):
+        divisors = [0] + [k for k in range(1, n) if n % k == 0]
+        for size in range(n + 1):
+            a = subset_rotation(n, size)
+            orbit_sum = ResiduePoly.zero(n)
+            for o in orbits(a).sizes:
+                orbit_sum = orbit_sum + orbit_gf(n, o)
+            for j in range(n):
+                f = orbit_sum.shift(j)
+                calls.clear()
+                verdict = check_csp(a, f)
+                assert verdict == reference_csp(a.carrier, a.step, n, f), (n, size, j)
+                last = verdict.witness["k"] if verdict.witness else divisors[-1]
+                assert calls == divisors[:divisors.index(last) + 1], (n, size, j)
+
+
+def test_method_1_composes_the_successor_up_to_the_largest_proper_divisor():
+    # at order 14, step^2..step^7 (6 compositions) and no further; the
+    # successor is read through a list that counts its reads
+    class Reads(list):
+        count = 0
+
+        def __getitem__(self, i):
+            Reads.count += 1
+            return list.__getitem__(self, i)
+
+    a = shift_action(14)
+    a._successor = Reads(a.successor())
+    orbits(a)                        # method 2's decomposition, read beforehand
+    Reads.count = 0
+    assert check_csp(a, orbit_gf(14, 14)).holds
+    assert Reads.count == 6 * 14
+    Reads.count = 0                  # a failure at k = 1 composes nothing
+    assert check_csp(a, ResiduePoly(14, (0, 14) + (0,) * 12)).witness["k"] == 1
+    assert Reads.count == 0

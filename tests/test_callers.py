@@ -17,6 +17,7 @@ ALLOWED = {
     "shift_bijection": "the Wagon-Wilf shift; its sweep will call it",
     "rotate_global": "the one-subset form of global_action's step",
     "mbs": "the statistic's public form, for subsets in any order",
+    "sum_prime": "the public Sum' and the tests' reference; the verifiers shift Sum's tally",
     "_make": "the NamedTuple hook that _replace calls",
 }
 

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from csieve import subsets
-from csieve.actions import OrbitDecomposition
+from csieve.actions import CyclicAction, OrbitDecomposition
 from csieve.formulas import brute_gf
 from csieve.qpoly import ResiduePoly, evaluate_at_root
 from csieve.subsets import (by_profile, enumerate_g_chain, enumerate_g_de,
@@ -19,7 +19,7 @@ from csieve.subsets import (by_profile, enumerate_g_chain, enumerate_g_de,
                             verify_g_dd_trivial, verify_isomorphic_actions,
                             verify_mbs_csp, verify_multisubset_refinement,
                             verify_subset_star)
-from csieve.sweeps import K_MAX, divisor_chains
+from csieve.sweeps import K_MAX, divisor_chains, divisor_pairs
 from csieve.words import strong_compositions
 
 
@@ -221,6 +221,53 @@ def test_chain_refinement_witnesses_an_orbit_size_not_dividing_e(monkeypatch):
     verdict = verify_chain_refinement(4, 2, (1, 2, 4))
     assert verdict.holds is False
     assert verdict.witness == {"check": "orbit-divisibility", "orbit_size": 1}
+
+
+def test_the_two_rotations_share_a_table_exactly_at_d_1_and_d_n():
+    for n, d in divisor_pairs(14):
+        same = subsets._interval_table(n, d) == subsets._global_table(n, d)
+        assert same == (d in (1, n)), (n, d)
+
+
+def test_isomorphic_actions_decompose_each_carrier_once_where_the_tables_agree(monkeypatch):
+    # one successor per carrier (k-subsets, k-multisubsets) where the two
+    # rotations share a table, one per carrier and action otherwise
+    builds = []
+    real = CyclicAction.successor
+
+    def counted(self):
+        if self._successor is None:
+            builds.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(CyclicAction, "successor", counted)
+    for n, d in divisor_pairs(8):
+        for k in range(min(K_MAX, n) + 1):
+            builds.clear()
+            assert verify_isomorphic_actions(n, d, k).holds
+            assert len(builds) == (2 if d in (1, n) else 4), (n, d, k)
+
+
+def test_the_shifted_sum_tally_is_the_sum_prime_tally(monkeypatch):
+    # the chain and G_{d,d} verifiers hand check_csp Sum's tally shifted
+    # by -C(k, 2); on every family with n <= 10 it is the Sum' tally
+    seen = []
+    real = subsets.check_csp
+    monkeypatch.setattr(subsets, "check_csp",
+                        lambda action, f: seen.append((action.carrier, f)) or real(action, f))
+    checked = 0
+    for n in range(1, 11):
+        for k in range(n + 1):
+            for chain in divisor_chains(n, k):
+                assert verify_chain_refinement(n, k, chain).holds
+                checked += 1
+    for n, d in divisor_pairs(10):
+        for k in range(n + 1):
+            assert verify_g_dd_trivial(n, k, d).holds
+            checked += bool(list(enumerate_g_de(n, k, d, d)))   # an empty one is not checked
+    assert len(seen) == checked
+    for carrier, f in seen:
+        assert f == brute_gf(carrier, f.n, sum_prime), carrier
 
 
 def test_shift_bijection_raises_sum_prime_by_e():
