@@ -8,12 +8,12 @@ sum q^maj) used by the test suite; the formulas are never trusted alone.
 from __future__ import annotations
 
 import itertools
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd
 from typing import Iterator, NamedTuple
 
 from .actions import CyclicAction, Verdict, check_csp, check_extension
-from .qpoly import (ONE, IntPoly, ResiduePoly, monomial, poly_mul, q_binomial,
-                    q_multichoose, q_multinomial, has_period, reduce)
+from .qpoly import (ONE, ZERO, IntPoly, ResiduePoly, poly_mul, q_binomial, q_multichoose,
+                    q_multinomial, has_period, reduce)
 from .words import (Composition, cdt_groups, enumerate_by_content, flex_per_orbit, inv,
                     is_strong, maj, necklace as necklace_of, necklace_classes)
 
@@ -81,11 +81,6 @@ class InstanceParams(_InstanceFields):
     def g(self) -> int:
         return gcd(*self.alpha, *self.delta)
 
-    @property
-    def eta(self) -> int:
-        return (self.n - self.alpha[0] + comb(self.k, 2)
-                + sum(comb(d, 2) for d in self.delta[1:]))
-
     def factors(self) -> list[tuple[int, int, int, int]]:
         """(falls, delta_l, runs, alpha_l - delta_l) for l = 2..m: letter l
         goes into delta_l of the n_{l-1} - k_{l-1} falls of the word so far,
@@ -123,22 +118,13 @@ def is_nonempty(alpha, delta) -> bool:
 # q_binomial when delta_l > falls, (q_)multichoose when runs = 0 < reps.
 
 def count_w_alpha_delta(alpha, delta) -> int:
-    p = params(alpha, delta)
-    total = p.n * prod(comb(falls, d) * multichoose(runs, reps)
-                       for falls, d, runs, reps in p.factors())
-    if total % p.alpha[0]:
-        raise RuntimeError("count formula produced a non-integer")
-    return total // p.alpha[0]
+    return _closed_form(params(alpha, delta))[0]
 
 
 def tilde_maj_gf(alpha, delta) -> IntPoly:
     """Sum of q^maj over words of content alpha, CDT delta, ending in 1:
     q^eta times the product of q-binomial and q-multichoose factors."""
-    p = params(alpha, delta)
-    out = monomial(p.eta)
-    for falls, d, runs, reps in p.factors():
-        out = poly_mul(poly_mul(out, q_binomial(falls, d)), q_multichoose(runs, reps))
-    return out
+    return _closed_form(params(alpha, delta))[1]
 
 
 def maj_gf_mod_n(alpha, delta) -> ResiduePoly:
@@ -200,20 +186,34 @@ def _closed_step(state, falls: int, d: int, runs: int, reps: int):
             eta + comb(d, 2))
 
 
+def _closed_form(p: InstanceParams, state=None) -> tuple[int, IntPoly]:
+    """(count_w_alpha_delta, tilde_maj_gf) of the instance p from the state
+    of _closed_step after its last factor, which closed_forms' walk
+    passes, or else folded here over p.factors(): n / alpha_1 times the
+    count product, and q^eta times the tilde product, eta adding the terms
+    that depend on the whole delta (n - alpha_1 + comb(k, 2)) to the
+    state's sum.  An empty product stays ZERO."""
+    if state is None:
+        state = (1, ONE, 0)
+        for factor in p.factors():
+            state = _closed_step(state, *factor)
+    count, product, eta = state
+    total = p.n * count
+    if total % p.alpha[0]:
+        raise RuntimeError("count formula produced a non-integer")
+    return (total // p.alpha[0],
+            (0,) * (p.n - p.alpha[0] + comb(p.k, 2) + eta) + product if product else ZERO)
+
+
 def closed_forms(alpha) -> Iterator[tuple[InstanceParams, int, IntPoly]]:
     """(InstanceParams, count_w_alpha_delta, tilde_maj_gf) for every delta
     of feasible_deltas(alpha), in its order, from one walk of its tree:
     prefixes that two deltas share have their factors multiplied once, and
-    each leaf adds the terms of eta that depend on the whole delta
-    (n - alpha_1 + comb(k, 2)) and builds one InstanceParams."""
+    each leaf hands its InstanceParams and state to _closed_form."""
     alpha = strong_content(alpha)
-    n, first = sum(alpha), alpha[0]
-    for delta, (count, product, eta) in _feasible_tree(alpha, _closed_step, (1, ONE, 0)):
-        total = n * count
-        if total % first:
-            raise RuntimeError("count formula produced a non-integer")
-        yield (InstanceParams(alpha, delta), total // first,
-               (0,) * (n - first + comb(sum(delta), 2) + eta) + product)
+    for delta, state in _feasible_tree(alpha, _closed_step, (1, ONE, 0)):
+        p = InstanceParams(alpha, delta)
+        yield (p, *_closed_form(p, state))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +296,7 @@ def verify_formula_vs_oracle(alpha, delta, words=None, closed=None) -> Verdict:
     if bool(words) != nonempty:
         return Verdict(False, {"check": "nonempty", "enumerated": len(words),
                                "is_nonempty": nonempty})
-    count, formula = ((count_w_alpha_delta(alpha, delta), tilde_maj_gf(alpha, delta))
-                      if closed is None else closed)
+    count, formula = _closed_form(p) if closed is None else closed
     if len(words) != count:
         return Verdict(False, {"check": "count", "enumerated": len(words),
                                "formula": count})

@@ -16,8 +16,9 @@ from math import comb
 from operator import gt, le
 from typing import Iterable, Iterator, Sequence
 
+from .actions import Verdict
 from .formulas import InstanceParams, params
-from .words import Word, as_word, cdes, content, cdt, is_strong
+from .words import Word, as_word, cdes, content, cdt, is_strong, maj, words_ending_in_one
 
 # A segment is a tuple of 1-based positions, cyclically consecutive in w.
 Segment = tuple[int, ...]
@@ -159,8 +160,8 @@ def phi(w) -> PhiImage:
 def _recover_labels(cur: Word, letter: int):
     """The labels (prev, F, R) of the edge into cur, in one scan of cur,
     where letter is the largest letter of cur and prev omits it.  phi
-    checks them by re-insertion; sweeps.verify_phi, the check of the
-    insertion bijection, compares them with the edge that built cur.  cur
+    checks them by re-insertion; verify_phi, the check of the insertion
+    bijection, compares them with the edge that built cur.  cur
     ends in 1, so no block of `letter` wraps around, and the gap before
     prev[0] is a weak ascent.  The scan reads _insert_triple backwards:
     each block of copies fills one gap of prev.
@@ -286,6 +287,73 @@ def leaves(alpha, delta) -> Iterator[Word]:
     for _, path, w in insertion_tree(p.alpha, p.delta):
         if len(path) == depth:
             yield w
+
+
+def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Word,
+                  **found) -> Verdict:
+    """A failing verdict on one edge of an insertion tree, with what
+    rebuilds the child: insert_triple(parent, letter, falls, runs)."""
+    return Verdict(False, {"check": check, "parent": parent, "letter": letter,
+                           "falls": falls, "runs": runs, "child": child, **found})
+
+
+def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
+    """The insertion bijection on one instance, in one walk of its tree
+    (_expansions).  On every edge (parent, letter, falls, runs, child)
+    the triple recovered from the child is (parent, falls, runs), and
+    the predicted maj increment matches the actual change.  phi folds
+    that recovery from a leaf to the root, so by induction phi of every
+    leaf returns the labels of its path.  Last, the leaves are exactly the
+    `enumerated` words ending in 1 (by default, from words_ending_in_one),
+    each built once.  maj is taken once per node, and cdes once per node
+    with children.  As |F| + |R| = alpha_l, the predicted increment
+    _maj_increment(cdes(parent), F, R) is _maj_increment(0, F, R), taken
+    once per label, plus cdes(parent) * alpha_l.
+
+    The walk recovers each edge with _recover_labels, phi's step without
+    its re-insertion check: the child was built from exactly
+    (parent, falls, runs), so when the recovered triple equals that,
+    re-inserting it gives the child by construction, and when it differs
+    the comparison fails.  A recovery witness holds what phi's step reads
+    from the child alone."""
+    p = params(alpha, delta)
+    if enumerated is None:
+        enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
+    spaces = _label_spaces(p)
+    depth = len(spaces)
+    # the increments below each depth, in the order of _expansions' edges
+    increments = [[_maj_increment(0, falls, runs) for falls in fall_sets for runs in run_sets]
+                  for fall_sets, run_sets in spaces]
+    root = (1,) * p.alpha[0]
+    node_maj = {root: maj(root)}     # the maj of every node with children
+    leaf_words = [] if depth else [root]
+    for path, w, edges in _expansions(root, spaces):
+        level = len(path)
+        letter = level + 2
+        w_maj = node_maj[w]
+        shift = cdes(w) * p.alpha[level + 1]
+        for (falls, runs, child), base in zip(edges, increments[level]):
+            recovered = _recover_labels(child, letter)
+            if recovered != (w, falls, runs):
+                return _edge_failure("recovery", w, letter, falls, runs, child,
+                                     recovered=recovered)
+            child_maj = maj(child)
+            if child_maj - w_maj != base + shift:
+                return _edge_failure("maj-increment", w, letter, falls, runs, child,
+                                     predicted=base + shift, actual=child_maj - w_maj)
+            if level + 1 == depth:
+                leaf_words.append(child)
+            else:
+                node_maj[child] = child_maj
+    # each kept child recovered its own edge, so no two edges build one leaf
+    built = set(leaf_words)
+    extra = min(built - enumerated, default=None)
+    missing = min(enumerated - built, default=None)
+    if extra is not None or missing is not None:
+        return Verdict(False, {"check": "leaf-set", "built": len(leaf_words),
+                               "enumerated": len(enumerated),
+                               "missing": missing, "extra": extra})
+    return Verdict(True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Exhaustive verification sweeps over desk-scale parameter ranges.
 
-Each sweep yields (key, verdict) pairs, where key is a JSON-ready dict
-identifying the instance.  The acceptance tests run every sweep of
-THEOREMS through `csieve verify` at its default bounds, so those defaults
-are the acceptance ranges.
+Each sweep drives a public verifier of the layer that owns the check and
+yields (key, verdict) pairs, key a JSON-ready dict naming the instance.
+The acceptance tests run every sweep of THEOREMS through `csieve verify`
+at its default bounds, so those defaults are the acceptance ranges.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from math import comb, gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from .actions import Verdict
-from .insertion import _expansions, _label_spaces, _maj_increment, _recover_labels
 from .formulas import (closed_forms, feasible_deltas, macmahon_check, multichoose,
-                       multinomial, params, period_g_check, vandermonde_check,
+                       multinomial, period_g_check, vandermonde_check,
                        verify_extension, verify_flex_maj_equidistribution,
                        verify_flex_universal, verify_formula_vs_oracle, verify_main_theorem)
+from .insertion import verify_phi
 from .subsets import (by_profile, enumerate_multisubsets, enumerate_subsets,
                       subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
                       verify_isomorphic_actions, verify_mbs_csp,
                       verify_multisubset_refinement, verify_subset_star)
-from .words import (Word, cdes, cdt_groups, maj, necklace_classes, necklaces_over,
-                    strong_compositions)
+from .words import (cdt_groups, necklace_classes, necklaces_over, strong_compositions,
+                    words_ending_in_one)
 
 SweepItem = tuple[dict, Verdict]
 
@@ -69,82 +69,6 @@ def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
             yield ({"alpha": alpha, "delta": delta},
                    verify_formula_vs_oracle(alpha, delta, groups.get(delta, ()),
                                             closed.get(delta)))
-
-
-def words_ending_in_one(alpha) -> dict[tuple, set[Word]]:
-    """The words of strong content alpha that end in 1, grouped by cyclic
-    descent type: the rotations ending in 1 of each necklace of a class of
-    words.necklace_classes, which is brute-force enumeration (FKM and cdt),
-    independent of insertion."""
-    return {delta: {w[i:] + w[:i] for w, p in members for i in range(p) if w[i - 1] == 1}
-            for delta, members in necklace_classes(alpha).items()}
-
-
-def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Word,
-                  **found) -> Verdict:
-    """A failing verdict on one edge of an insertion tree, with what
-    rebuilds the child: insert_triple(parent, letter, falls, runs)."""
-    return Verdict(False, {"check": check, "parent": parent, "letter": letter,
-                           "falls": falls, "runs": runs, "child": child, **found})
-
-
-def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
-    """The insertion bijection on one instance, in one walk of its tree
-    (insertion._expansions).  On every edge (parent, letter, falls, runs,
-    child) the triple recovered from the child is (parent, falls, runs),
-    and the predicted maj increment matches the actual change.  phi folds
-    that recovery from a leaf to the root, so by induction phi of every
-    leaf returns the labels of its path.  Last, the leaves are exactly the
-    `enumerated` words ending in 1 (by default, from words_ending_in_one),
-    each built once.  maj is taken once per node, and cdes once per node
-    with children.  As |F| + |R| = alpha_l, the predicted increment
-    _maj_increment(cdes(parent), F, R) is _maj_increment(0, F, R), taken
-    once per label, plus cdes(parent) * alpha_l.
-
-    The walk recovers each edge with _recover_labels, phi's step without
-    its re-insertion check: the child was built from exactly
-    (parent, falls, runs), so when the recovered triple equals that,
-    re-inserting it gives the child by construction, and when it differs
-    the comparison fails.  A recovery witness holds what phi's step reads
-    from the child alone."""
-    p = params(alpha, delta)
-    if enumerated is None:
-        enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
-    spaces = _label_spaces(p)
-    depth = len(spaces)
-    # the increments below each depth, in the order of _expansions' edges
-    increments = [[_maj_increment(0, falls, runs) for falls in fall_sets for runs in run_sets]
-                  for fall_sets, run_sets in spaces]
-    root = (1,) * p.alpha[0]
-    node_maj = {root: maj(root)}     # the maj of every node with children
-    leaves = [] if depth else [root]
-    for path, w, edges in _expansions(root, spaces):
-        level = len(path)
-        letter = level + 2
-        w_maj = node_maj[w]
-        shift = cdes(w) * p.alpha[level + 1]
-        for (falls, runs, child), base in zip(edges, increments[level]):
-            recovered = _recover_labels(child, letter)
-            if recovered != (w, falls, runs):
-                return _edge_failure("recovery", w, letter, falls, runs, child,
-                                     recovered=recovered)
-            child_maj = maj(child)
-            if child_maj - w_maj != base + shift:
-                return _edge_failure("maj-increment", w, letter, falls, runs, child,
-                                     predicted=base + shift, actual=child_maj - w_maj)
-            if level + 1 == depth:
-                leaves.append(child)
-            else:
-                node_maj[child] = child_maj
-    # each kept child recovered its own edge, so no two edges build one leaf
-    built = set(leaves)
-    extra = min(built - enumerated, default=None)
-    missing = min(enumerated - built, default=None)
-    if extra is not None or missing is not None:
-        return Verdict(False, {"check": "leaf-set", "built": len(leaves),
-                               "enumerated": len(enumerated),
-                               "missing": missing, "extra": extra})
-    return Verdict(True, None)
 
 
 def sweep_phi(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:

@@ -317,3 +317,12 @@ def cdt_groups(alpha) -> dict[Composition, list[Word]]:
     word of a class is its least; the rest are not sorted."""
     return {delta: [w[i:] + w[:i] for w, p in members for i in range(p)]
             for delta, members in necklace_classes(alpha).items()}
+
+
+def words_ending_in_one(alpha) -> dict[Composition, set[Word]]:
+    """The words of strong content alpha that end in 1, grouped by cyclic
+    descent type: the rotations ending in 1 of each necklace of a class of
+    necklace_classes, which is brute-force enumeration (FKM and cdt),
+    independent of insertion."""
+    return {delta: {w[i:] + w[:i] for w, p in members for i in range(p) if w[i - 1] == 1}
+            for delta, members in necklace_classes(alpha).items()}

@@ -1,4 +1,5 @@
-"""Every function and class in src/csieve has a caller in the package.
+"""Every function and class in src/csieve has a caller in the package, and
+no module of it imports another module's private name.
 
 Code that only tests call belongs in the tests, as a reference the package
 is compared with.  A definition passes when the package refers to it
@@ -64,3 +65,14 @@ def test_every_allowed_name_is_a_definition_without_a_caller(monkeypatch):
     # an entry whose name gained a caller, or lost its definition, is stale
     monkeypatch.syspath_prepend(str(PERFBENCH))
     assert {name.rsplit(".", 1)[1] for name in uncalled({})} == set(ALLOWED)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name with a leading underscore belongs to its module: code that
+    # needs it from outside lives beside it, or the name is public
+    private = [f"{path.stem}:{node.lineno} {alias.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.level >= 1
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

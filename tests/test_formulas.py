@@ -26,12 +26,6 @@ def test_factors_golden():
     assert params((4, 2, 3), (0, 2, 1)).factors() == [(4, 2, 2, 0), (4, 1, 3, 2)]
 
 
-def test_params_eta():
-    p = params((2, 2), (0, 2))
-    # eta = n - alpha_1 + C(k,2) + sum C(delta_l, 2) = 2 + 1 + 1
-    assert p.eta == 4
-
-
 def test_is_nonempty_matches_enumeration():
     for alpha in [(2, 2), (3, 1), (1, 1), (2, 1, 1), (1, 1, 2)]:
         for delta in feasible_deltas(alpha):

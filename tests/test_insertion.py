@@ -131,7 +131,7 @@ def test_phi_checks_its_recovered_labels_by_reinsertion(monkeypatch, wrong):
 
 
 def test_the_recovery_core_reads_every_edge_of_every_tree():
-    # the labels that the phi check (sweeps.verify_phi) reads without
+    # the labels that the phi check (verify_phi) reads without
     # re-insertion are the edge's own, and phi, which checks each step by
     # re-insertion, returns the path of every node
     for alpha in iter_contents(7, 4):

@@ -21,7 +21,7 @@ def test_sweep_phi_small():
 
 
 def test_words_ending_in_one_groups_by_cdt():
-    groups = sweeps.words_ending_in_one((3, 1, 1))
+    groups = words.words_ending_in_one((3, 1, 1))
     assert groups[(0, 1, 0)] == {(2, 3, 1, 1, 1), (1, 2, 3, 1, 1), (1, 1, 2, 3, 1)}
     assert sum(len(ws) for ws in groups.values()) == 12    # 5!/(3! 1! 1!) * 3/5
 
@@ -35,7 +35,7 @@ def test_words_ending_in_one_equals_grouping_by_cdt():
                 expected = {}
                 for u in enumerate_by_content((alpha[0] - 1,) + alpha[1:]):
                     expected.setdefault(cdt(u + (1,)), set()).add(u + (1,))
-                assert sweeps.words_ending_in_one(alpha) == expected, alpha
+                assert words.words_ending_in_one(alpha) == expected, alpha
 
 
 def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
@@ -53,9 +53,9 @@ def test_the_phi_check_does_each_piece_of_work_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for module, name in [(words, "cdt"), (sweeps, "maj"), (insertion, "_fall_ends")]:
+    for module, name in [(words, "cdt"), (insertion, "maj"), (insertion, "_fall_ends")]:
         count(module, name)
-    assert sweeps.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
+    assert insertion.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
     # 7! / (2! 3! 2!) restrictions; the tree has 6, 12 and 20 labels per
     # letter, so 1, 6, 72 and 1440 nodes by depth
     assert calls == {"cdt": 210, "_fall_ends": 1 + 6 + 72, "maj": 1 + 6 + 72 + 1440}
@@ -87,10 +87,15 @@ def test_the_profile_sweeps_yield_every_profile_in_order(monkeypatch, name, veri
 def test_the_phi_check_builds_its_parameters_once(monkeypatch):
     # verify_phi builds the instance's parameters and hands them to the
     # label spaces, which would otherwise build them again
-    def forbidden(alpha, delta):
-        raise AssertionError("the label spaces rebuilt the parameters")
-    monkeypatch.setattr(insertion, "params", forbidden)
-    assert sweeps.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
+    built = []
+    real = insertion.params
+
+    def counted(alpha, delta):
+        built.append((alpha, delta))
+        return real(alpha, delta)
+    monkeypatch.setattr(insertion, "params", counted)
+    assert insertion.verify_phi((3, 3, 2, 2), (0, 2, 1, 1)).holds
+    assert built == [((3, 3, 2, 2), (0, 2, 1, 1))]
 
 
 @pytest.mark.parametrize("name, enumerator", [("multisubset", "enumerate_multisubsets"),
@@ -120,10 +125,10 @@ def test_the_profile_sweeps_enumerate_each_group_once(monkeypatch, name, enumera
 
 
 def test_maj_increment_witness(monkeypatch):
-    real = sweeps._maj_increment
-    monkeypatch.setattr(sweeps, "_maj_increment",
+    real = insertion._maj_increment
+    monkeypatch.setattr(insertion, "_maj_increment",
                         lambda c, falls, runs: real(c, falls, runs) + 1)
-    verdict = sweeps.verify_phi((4, 2, 3), (0, 2, 1))
+    verdict = insertion.verify_phi((4, 2, 3), (0, 2, 1))
     witness = verdict.witness
     assert verdict.holds is False
     assert witness["check"] == "maj-increment"
@@ -135,8 +140,8 @@ def test_maj_increment_witness(monkeypatch):
 
 
 def test_recovery_witness(monkeypatch):
-    monkeypatch.setattr(sweeps, "_recover_labels", lambda w, letter: ((), (), ()))
-    verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0))
+    monkeypatch.setattr(insertion, "_recover_labels", lambda w, letter: ((), (), ()))
+    verdict = insertion.verify_phi((3, 1, 1), (0, 1, 0))
     witness = verdict.witness
     assert verdict.holds is False
     assert witness["check"] == "recovery"
@@ -144,6 +149,8 @@ def test_recovery_witness(monkeypatch):
     child = insert_triple(witness["parent"], witness["letter"],
                           witness["falls"], witness["runs"])
     assert child == witness["child"]
+    # phi reads the same name, so it takes the real recovery
+    monkeypatch.undo()
     assert phi(child)[-1] == (witness["falls"], witness["runs"])
 
 
@@ -156,7 +163,7 @@ def test_an_insert_that_drops_a_copy_fails(monkeypatch):
         return tuple(child)
 
     monkeypatch.setattr(insertion, "_insert_triple", drop_one_copy)
-    verdict = sweeps.verify_phi((3, 1, 2), (0, 1, 1))
+    verdict = insertion.verify_phi((3, 1, 2), (0, 1, 1))
     witness = verdict.witness
     assert verdict.holds is False
     assert witness["check"] == "recovery"
@@ -177,7 +184,7 @@ def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
         return real(w, fall_ends, descents, letter, falls, runs)
 
     monkeypatch.setattr(insertion, "_insert_triple", move_a_fall_copy)
-    verdict = sweeps.verify_phi((3, 1, 2), (0, 1, 1))
+    verdict = insertion.verify_phi((3, 1, 2), (0, 1, 1))
     witness = verdict.witness
     assert verdict.holds is False
     assert witness["check"] == "recovery"
@@ -191,9 +198,9 @@ def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
 
 
 def test_leaf_set_witness():
-    enumerated = sweeps.words_ending_in_one((3, 1, 1))[(0, 1, 0)]
+    enumerated = words.words_ending_in_one((3, 1, 1))[(0, 1, 0)]
     short = enumerated - {(1, 1, 2, 3, 1)}
-    verdict = sweeps.verify_phi((3, 1, 1), (0, 1, 0), short | {(2, 1, 3, 1, 1)})
+    verdict = insertion.verify_phi((3, 1, 1), (0, 1, 0), short | {(2, 1, 3, 1, 1)})
     assert verdict.holds is False
     assert verdict.witness == {"check": "leaf-set", "built": 3, "enumerated": 3,
                                "missing": (2, 1, 3, 1, 1), "extra": (1, 1, 2, 3, 1)}
