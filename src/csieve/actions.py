@@ -163,7 +163,9 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     """Dual cyclic sieving check for the triple (carrier, C_n, f).  A step
     that leaves the carrier fails it with a closure witness: the element
     and its image.  An f whose modulus is not n, or an orbit whose size
-    does not divide n, raises WrongOrder.
+    does not divide n, raises WrongOrder.  An empty carrier with a zero f
+    holds before the successor is built; with any other f both methods
+    run, and both fail.
 
     Neither method pays for what it already knows: at k = 0 the fixed
     points are the whole carrier, and f(1) is the sum of f's coefficients
@@ -176,6 +178,8 @@ def check_csp(a: CyclicAction, f: ResiduePoly) -> Verdict:
     n = a.order
     if f.n != n:
         raise WrongOrder("polynomial modulus must equal the action order")
+    if not a.carrier and not any(f.coeffs):
+        return Verdict(True, None)
     try:
         perm = a.successor()
     except NotClosed as exc:

@@ -122,6 +122,8 @@ def _stat_fn(name: str):
 
 
 def cmd_gf(args) -> int:
+    if args.formula and args.stat != "maj":
+        raise UsageError("--formula is only available for the maj statistic")
     alpha = parse_composition(args.alpha, "alpha")
     given = parse_composition(args.delta, "delta") if args.delta else None
     # the gate of verify: a strong alpha and a delta in its box
@@ -146,7 +148,7 @@ def cmd_gf(args) -> int:
 
     exit_code = 0
     if args.formula:
-        verdict = _gf_formula(alpha, delta, args.stat, poly, n)
+        verdict = _gf_formula(alpha, delta, poly, n)
         report.update(verdict)
         if not verdict["equal"]:
             exit_code = 1
@@ -166,10 +168,8 @@ def cmd_gf(args) -> int:
     return exit_code
 
 
-def _gf_formula(alpha, delta, stat, poly, n) -> dict:
-    """The closed form beside the enumerated polynomial `poly`."""
-    if stat != "maj":
-        raise UsageError("--formula is only available for the maj statistic")
+def _gf_formula(alpha, delta, poly, n) -> dict:
+    """The closed form beside the enumerated maj polynomial `poly`."""
     if delta is None:
         closed = q_multinomial(alpha)
         return {"formula": poly_text(closed), "equal": poly == closed}

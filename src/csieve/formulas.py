@@ -241,11 +241,9 @@ def brute_gf(carrier, n: int, stat) -> ResiduePoly:
     return ResiduePoly(n, tuple(out))
 
 
-def rotation_action(carrier) -> CyclicAction:
-    carrier = tuple(carrier)
-    if not carrier:
-        raise ValueError("rotation action needs a non-empty carrier")
-    return CyclicAction(len(carrier[0]), carrier, lambda w: w[-1:] + w[:-1])
+def rotation_action(n: int, carrier) -> CyclicAction:
+    """Rotation as an order-n action on a carrier of words of length n."""
+    return CyclicAction(n, carrier, lambda w: w[-1:] + w[:-1])
 
 
 def _word_class(p: InstanceParams, words):
@@ -264,9 +262,7 @@ def verify_main_theorem(alpha, delta, words=None) -> Verdict:
     does not preserve fails with a closure witness."""
     p = params(alpha, delta)
     words = _word_class(p, words)
-    if not words:
-        return Verdict(True, None)
-    return check_csp(rotation_action(words), brute_gf(words, p.n, maj))
+    return check_csp(rotation_action(p.n, words), brute_gf(words, p.n, maj))
 
 
 def verify_extension(alpha, delta) -> Verdict:
@@ -276,9 +272,7 @@ def verify_extension(alpha, delta) -> Verdict:
     that rotation does not preserve it is the closure witness."""
     p = params(alpha, delta)
     words = _word_class(p, None)
-    if not words:
-        return Verdict(True, None)
-    return check_extension(rotation_action(words), p.g, brute_gf(words, p.n, maj))
+    return check_extension(rotation_action(p.n, words), p.g, brute_gf(words, p.n, maj))
 
 
 def verify_formula_vs_oracle(alpha, delta, words=None, closed=None) -> Verdict:
@@ -384,5 +378,5 @@ def verify_flex_universal(necklace) -> Verdict:
     a deeper claim."""
     flexes = flex_per_orbit((necklace_of(necklace),))
     members = tuple(flexes)
-    return check_csp(rotation_action(members),
+    return check_csp(rotation_action(len(members[0]), members),
                      brute_gf(members, len(members[0]), flexes.__getitem__))

@@ -199,16 +199,11 @@ def _recover_labels(cur: Word, letter: int):
     return tuple(prev), tuple(falls), tuple(runs)
 
 
-def label_spaces(alpha, delta) -> list[tuple[tuple, tuple]]:
-    """The per-letter label tuples: for each l = 2..m, all fall sets
-    (delta_l-subsets of the falls of the previous stage) and all run
-    multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A tuple
-    is empty exactly when its factor vanishes."""
-    return _label_spaces(params(alpha, delta))
-
-
 def _label_spaces(p: InstanceParams) -> list[tuple[tuple, tuple]]:
-    """`label_spaces` of an instance whose parameters are already built."""
+    """The per-letter label tuples of an instance: for each l = 2..m, all
+    fall sets (delta_l-subsets of the falls of the previous stage) and all
+    run multisets ((alpha_l - delta_l)-multisubsets of the k_l runs).  A
+    tuple is empty exactly when its factor vanishes."""
     return [(tuple(itertools.combinations(range(falls), d)),
              tuple(itertools.combinations_with_replacement(range(runs), reps)))
             for falls, d, runs, reps in p.factors()]
@@ -235,7 +230,7 @@ def _expansions(root: Word, spaces: list[tuple[tuple, tuple]]
                 ) -> Iterator[tuple[PhiImage, Word, list]]:
     """Depth-first walk, on an explicit stack, of the insertion tree from
     the root 1^alpha_1 whose edges below depth l are labelled by
-    spaces[l], the label_spaces of its instance.
+    spaces[l], the _label_spaces of its instance.
 
     Yields (path, word, edges) for every node with children, starting at
     the root with an empty path: path holds the labels of the edges from
@@ -260,33 +255,19 @@ def _expansions(root: Word, spaces: list[tuple[tuple, tuple]]
                       for falls, runs, child in reversed(edges)]
 
 
-def insertion_tree(alpha, delta) -> Iterator[tuple[Word | None, PhiImage, Word]]:
-    """Every node of the insertion tree of the words of content alpha and
-    cyclic descent type delta ending in 1, as (parent, path, word): first
-    the root 1^alpha_1 with parent None and an empty path, then, for each
-    node that _expansions yields, all its children, each built once from
-    its parent along the edge labelled path[-1].  Every node comes after
-    its parent, but the order is not preorder: all the children of a node
-    come before any grandchild.  The leaves are the nodes whose path has
-    len(alpha) - 1 labels; by the bijection, their path is their phi
-    image."""
-    alpha = tuple(alpha)
-    spaces = label_spaces(alpha, delta)     # checks the instance
-    root = (1,) * alpha[0]
-    return itertools.chain([(None, (), root)], (
-        (w, path + ((falls, runs),), child)
-        for path, w, edges in _expansions(root, spaces)
-        for falls, runs, child in edges))
-
-
 def leaves(alpha, delta) -> Iterator[Word]:
     """All words of content alpha and cyclic descent type delta ending in 1,
-    each exactly once: the leaves of the insertion tree."""
+    each exactly once: the leaves of the insertion tree, that is the
+    children of the nodes that _expansions yields at the last level, or
+    the root 1^alpha_1 alone when alpha has one part."""
     p = params(alpha, delta)
-    depth = p.m - 1
-    for _, path, w in insertion_tree(p.alpha, p.delta):
-        if len(path) == depth:
-            yield w
+    spaces = _label_spaces(p)
+    root = (1,) * p.alpha[0]
+    if not spaces:
+        yield root
+    for path, _, edges in _expansions(root, spaces):
+        if len(path) + 1 == len(spaces):
+            yield from (child for _, _, child in edges)
 
 
 def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Word,

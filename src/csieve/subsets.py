@@ -164,10 +164,8 @@ def enumerate_g_de(n: int, k: int, d: int, e: int) -> Iterator[IndexTuple]:
         raise ValueError("need e | d | n")
     if d == 1:
         yield from enumerate_subsets(n, k)
-        return
-    for alpha in _profiles(k, n // d, e, d):
-        if gcd(d, *alpha) == e:
-            yield from _enumerate_profile(n, d, alpha, itertools.combinations)
+    else:
+        yield from _gcd_family(n, k, ((e, d),))
 
 
 def validate_chain(n: int, k: int, chain) -> tuple[int, ...]:
@@ -202,8 +200,16 @@ def enumerate_g_chain(n: int, k: int, chain) -> Iterator[IndexTuple]:
     # the condition gcd(1, profile) == 1 holds for every subset
     while len(chain) > 2 and chain[1] == 1:
         chain = chain[1:]
-    e, d = chain[0], chain[1]
-    pairs = list(zip(chain, chain[1:]))
+    yield from _gcd_family(n, k, tuple(zip(chain, chain[1:])))
+
+
+def _gcd_family(n: int, k: int, pairs) -> Iterator[IndexTuple]:
+    """The k-subsets of [0, n-1] whose profile over the c-intervals has
+    gcd exactly b with c for every pair (b, c) of `pairs`, the first pair
+    (e, d) naming the finest intervals.  Walks the d-interval profiles
+    whose parts are multiples of e, tests each once, coarsened to every c,
+    and yields the subsets of each profile that passes."""
+    e, d = pairs[0]
     for alpha in _profiles(k, n // d, e, d):
         if all(gcd(big, *_coarsen(alpha, big // d)) == small for small, big in pairs):
             yield from _enumerate_profile(n, d, alpha, itertools.combinations)
@@ -234,8 +240,6 @@ def verify_multisubset_refinement(n: int, d: int, alpha, carrier=None) -> Verdic
     the bucket as the carrier; without it the verifier enumerates the
     profile itself."""
     carrier = tuple(enumerate_m_alpha(n, d, alpha) if carrier is None else carrier)
-    if not carrier:
-        return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum))
 
 
@@ -247,8 +251,6 @@ def verify_subset_star(n: int, d: int, alpha, carrier=None) -> Verdict:
     sum_star((), alpha)."""
     alpha = tuple(alpha)
     carrier = tuple(enumerate_s_alpha(n, d, alpha) if carrier is None else carrier)
-    if not carrier:
-        return Verdict(True, None)
     return check_csp(interval_action(n, d, carrier),
                      brute_gf(carrier, d, sum).shift(sum_star((), alpha)))
 
@@ -299,8 +301,6 @@ def verify_g_dd_trivial(n: int, k: int, d: int) -> Verdict:
     and only when the step leaves the carrier are they stepped again."""
     _check_universe(n, d, k)
     carrier = tuple(enumerate_g_de(n, k, d, d))
-    if not carrier:
-        return Verdict(True, None)
     action = interval_action(n, d, carrier)
     low = comb(k, 2)
     f = brute_gf(carrier, d, sum).shift(-low)
@@ -434,7 +434,5 @@ def verify_mbs_csp(n: int, k: int, b: int, carrier=None) -> Verdict:
     if k < 0 or b < 0:
         raise ValueError("k and b must be non-negative")
     carrier = tuple(enumerate_s_kb(n, k, b) if carrier is None else carrier)
-    if not carrier:
-        return Verdict(True, None)
     return check_csp(global_action(n, n, carrier),
                      brute_gf(carrier, n, lambda a: _sorted_mbs(a, n)))

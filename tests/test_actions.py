@@ -108,6 +108,18 @@ def test_check_csp_modulus_mismatch():
         check_csp(shift_action(4), ResiduePoly.zero(5))
 
 
+def test_an_empty_carrier_holds_exactly_for_a_zero_polynomial():
+    # check_csp decides an empty carrier with a zero f before either method
+    # runs; any other f goes through both, which fail together
+    empty = CyclicAction(2, (), lambda x: x)
+    assert check_csp(empty, ResiduePoly.zero(2)) == Verdict(True, None)
+    assert empty._successor is None
+    assert check_csp(empty, ResiduePoly(2, (1, -1))) == Verdict(
+        False, {"k": 1, "fixed_points": 0, "evaluation": 2})
+    with pytest.raises(WrongOrder, match="polynomial modulus must equal the action order"):
+        check_csp(CyclicAction(3, (), lambda x: x), ResiduePoly.zero(2))
+
+
 def test_check_refinement_closure():
     a = subset_rotation(4, 2)
     closed = [s for s in a.carrier if (s[1] - s[0]) in (1, 3)]

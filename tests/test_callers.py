@@ -1,5 +1,6 @@
-"""Every function and class in src/csieve has a caller in the package, and
-no module of it imports another module's private name.
+"""Every function and class in src/csieve has a caller in the package, no
+module of it imports another module's private name, and each module
+imports only the modules below it in one layer order.
 
 Code that only tests call belongs in the tests, as a reference the package
 is compared with.  A definition passes when the package refers to it
@@ -12,6 +13,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csieve"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+LAYERS = ("words", "qpoly", "actions", "formulas", "insertion", "subsets", "sweeps", "cli")
 
 ALLOWED = {
     "power_image": "phi of a power; the sweep of the power structure will call it",
@@ -76,3 +79,17 @@ def test_no_module_imports_another_modules_private_name():
                if isinstance(node, ast.ImportFrom) and node.level >= 1
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_each_module_imports_only_the_modules_before_it():
+    # the layers stack in one order, so no import cycle can form; a new
+    # module has to take its place in LAYERS
+    assert {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"} == set(LAYERS)
+    later = []
+    for position, name in enumerate(LAYERS):
+        for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                imported = [node.module] if node.module else [a.name for a in node.names]
+                later += [f"{name}:{node.lineno} {module}" for module in imported
+                          if module not in LAYERS[:position]]
+    assert later == []

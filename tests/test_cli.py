@@ -82,6 +82,21 @@ def test_gf_formula_rejects_inv(capsys):
     assert "maj" in err
 
 
+@pytest.mark.parametrize("stat", ["inv", "flex"])
+def test_gf_formula_for_another_statistic_exits_2_before_enumerating(capsys, monkeypatch,
+                                                                      stat):
+    def refuse(*args):
+        raise AssertionError("gf enumerated a class it was going to reject")
+
+    monkeypatch.setattr(cli, "enumerate_by_content", refuse)
+    monkeypatch.setattr(cli, "cdt_groups", refuse)
+    for delta in ([], ["--delta", "0,2,1,1"]):
+        code, out, err = run(capsys, "gf", "--alpha", "4,4,3,2", "--stat", stat,
+                             "--formula", *delta)
+        assert_usage_error(code, out, err)
+        assert err == "error: --formula is only available for the maj statistic\n"
+
+
 def test_gf_cap(capsys, monkeypatch):
     monkeypatch.setenv("CSIEVE_CAP", "3")
     code, _, err = run(capsys, "gf", "--alpha", "2,2")
@@ -252,7 +267,7 @@ def test_a_class_rotation_leaves_fails_with_a_closure_witness(capsys, monkeypatc
     # a step that sorts the word takes 1212 out of W((2,2), (0,2)); extension
     # builds its subgroup action from the same step
     monkeypatch.setattr(formulas, "rotation_action",
-                        lambda words: CyclicAction(4, words, lambda w: tuple(sorted(w))))
+                        lambda n, words: CyclicAction(n, words, lambda w: tuple(sorted(w))))
     for name in ("main", "extension"):
         code, out, err = run(capsys, "verify", name, "--alpha", "2,2", "--delta", "0,2")
         assert code == 1 and err == "", name

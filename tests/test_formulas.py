@@ -78,8 +78,8 @@ def test_inv_does_not_give_the_csp():
     from csieve.formulas import brute_gf, rotation_action
     from csieve.words import inv
     words = ((1, 2, 1, 2), (2, 1, 2, 1))
-    assert check_csp(rotation_action(words), brute_gf(words, 4, maj)).holds
-    assert not check_csp(rotation_action(words), brute_gf(words, 4, inv)).holds
+    assert check_csp(rotation_action(4, words), brute_gf(words, 4, maj)).holds
+    assert not check_csp(rotation_action(4, words), brute_gf(words, 4, inv)).holds
 
 
 def test_verify_formula_vs_oracle_instances():

@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from csieve import insertion
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas, is_nonempty,
-                             maj_gf_mod_n, tilde_maj_gf)
+                             maj_gf_mod_n, params, tilde_maj_gf)
 from csieve.insertion import (fall_segments, image_multiplicity_words,
-                              insert_triple, insertion_tree, label_spaces,
-                              leaves, phi, phi_inverse, power_image,
+                              insert_triple, leaves, phi, phi_inverse, power_image,
                               predicted_maj_increment, run_segments)
 from csieve.qpoly import ZERO, ResiduePoly
 from csieve.sweeps import iter_contents
@@ -61,6 +60,25 @@ def insert_into_runs(w, letter, runs):
         seg = run_segments(w)[r]
         w = insert_into_segment(w, letter, seg, sum(x < letter for x in letters_of(w, seg)))
     return w
+
+
+# ---------------------------------------------------------------------------
+# the insertion tree, walked as the package walks it
+
+def label_spaces(alpha, delta):
+    return insertion._label_spaces(params(alpha, delta))
+
+
+def tree_nodes(alpha, delta):
+    """(parent, path, word) for every node of the insertion tree: the root
+    1^alpha_1 with parent None and an empty path, then every child of each
+    node that insertion._expansions yields, built along the edge labelled
+    path[-1]."""
+    root = (1,) * alpha[0]
+    yield None, (), root
+    for path, w, edges in insertion._expansions(root, label_spaces(alpha, delta)):
+        for falls, runs, child in edges:
+            yield w, path + ((falls, runs),), child
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +154,7 @@ def test_the_recovery_core_reads_every_edge_of_every_tree():
     # re-insertion, returns the path of every node
     for alpha in iter_contents(7, 4):
         for delta in feasible_deltas(alpha):
-            for parent, path, w in insertion_tree(alpha, delta):
+            for parent, path, w in tree_nodes(alpha, delta):
                 if parent is not None:
                     letter = len(path) + 1
                     assert insertion._recover_labels(w, letter) == (parent, *path[-1]), \
@@ -249,7 +267,7 @@ def test_batched_insertion_matches_one_index_at_a_time():
     edges = 0
     for alpha in STRONG_CONTENTS:
         for delta in feasible_deltas(alpha):
-            for parent, path, w in insertion_tree(alpha, delta):
+            for parent, path, w in tree_nodes(alpha, delta):
                 if parent is not None:
                     falls, runs = path[-1]
                     assert w == one_index_at_a_time(parent, len(path) + 1, falls, runs), \
@@ -270,6 +288,6 @@ def test_leaves_are_the_words_ending_in_one(instance):
 @given(instances())
 def test_phi_of_each_leaf_is_its_path(instance):
     depth = len(instance[0]) - 1
-    for _, path, w in insertion_tree(*instance):
+    for _, path, w in tree_nodes(*instance):
         if len(path) == depth:
             assert phi(w) == path

@@ -309,4 +309,4 @@ def test_necklace_and_the_rotation_step_agree_with_rotate(w):
     rotations = [rotate(w, s) for s in range(len(w))]
     assert necklace(w) == (min(rotations), len(set(rotations)))
     assert flex(w) == reference_flexes([w])[w]
-    assert rotation_action([w]).step(w) == rotate(w, 1)
+    assert rotation_action(len(w), [w]).step(w) == rotate(w, 1)
