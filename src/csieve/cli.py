@@ -4,7 +4,9 @@ theorem-verification sweeps with machine-readable output.
 Exit codes: 0 all checks hold, 1 a verification failed (witness in the
 output), 2 usage or validation error, 3 internal fault (any other
 exception, such as an action whose step is not a bijection or one checked
-against the wrong order), each error with one line on stderr.
+against the wrong order), each error with one line on stderr.  Each
+command returns its exit code and its text, which main prints; a reader
+that closes stdout early ends the command quietly, with that exit code.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def check_cap(size: int) -> None:
 # ---------------------------------------------------------------------------
 # stats
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> tuple[int, str]:
     w = parse_word(args.word)
     _, period = necklace(w)
     freq = len(w) // period
@@ -107,11 +109,8 @@ def cmd_stats(args) -> int:
         "flex": w_flex,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        for key, value in report.items():
-            print(f"{key}: {value}")
-    return 0
+        return 0, json.dumps(report, indent=2)
+    return 0, "\n".join(f"{key}: {value}" for key, value in report.items())
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def _stat_fn(name: str):
     return {"maj": maj, "inv": inv, "flex": flex}[name]
 
 
-def cmd_gf(args) -> int:
+def cmd_gf(args) -> tuple[int, str]:
     if args.formula and args.stat != "maj":
         raise UsageError("--formula is only available for the maj statistic")
     alpha = parse_composition(args.alpha, "alpha")
@@ -154,18 +153,15 @@ def cmd_gf(args) -> int:
             exit_code = 1
 
     if args.format == "json":
-        print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        print("exponent,coefficient")
-        for e, c in enumerate(coeffs):
-            if c:
-                print(f"{e},{c}")
+        return exit_code, json.dumps(report, indent=2)
+    if args.format == "csv":
+        lines = ["exponent,coefficient"] + [f"{e},{c}" for e, c in enumerate(coeffs) if c]
     else:
-        print(report["polynomial"])
+        lines = [report["polynomial"]]
         if args.formula:
-            print(f"formula: {report['formula']}")
-            print(f"equal: {str(report['equal']).lower()}")
-    return exit_code
+            lines += [f"formula: {report['formula']}",
+                      f"equal: {str(report['equal']).lower()}"]
+    return exit_code, "\n".join(lines)
 
 
 def _gf_formula(alpha, delta, poly, n) -> dict:
@@ -244,7 +240,7 @@ def _instance(args, name: str, params, given) -> dict:
     return key
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     """Check the instance given on the command line, or else run the
     theorem's sweep within the bounds given."""
     name = args.theorem
@@ -267,14 +263,13 @@ def cmd_verify(args) -> int:
     report = sweeps.run_sweep(items, collect_instances=(
         args.format == "json" and not args.failures_only))
     report["theorem"] = name
+    exit_code = 0 if report["holds"] else 1
     if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"{name}: checked {report['instances_checked']} instance(s), "
-              f"holds={report['holds']}")
-        for failure in report["failures"]:
-            print(f"  FAIL {failure}")
-    return 0 if report["holds"] else 1
+        return exit_code, json.dumps(report, indent=2)
+    lines = [f"{name}: checked {report['instances_checked']} instance(s), "
+             f"holds={report['holds']}"]
+    lines += [f"  FAIL {failure}" for failure in report["failures"]]
+    return exit_code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +316,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        exit_code, text = args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # a reader that stopped early (`| head`) is neither a failed check
+        # nor a fault; what is left unwritten goes to the null device, so
+        # the interpreter's flush at exit has nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return exit_code
 
 
 if __name__ == "__main__":

@@ -338,34 +338,16 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# multiplicity-word encoding
-
-def multiplicity_word(elements: Iterable[int], universe_size: int) -> tuple[int, ...]:
-    out = [0] * universe_size
-    for x in elements:
-        out[x] += 1
-    return tuple(out)
-
-
-def image_multiplicity_words(image: PhiImage, alpha, delta):
-    """Encode each label pair as a pair of multiplicity words over its
-    universe (the falls and the runs of InstanceParams.factors)."""
-    return tuple((multiplicity_word(falls, n_falls), multiplicity_word(runs, n_runs))
-                 for (falls, runs), (n_falls, _, n_runs, _)
-                 in zip(image, params(alpha, delta).factors(), strict=True))
-
+# phi of a power
 
 def power_image(u, k: int) -> PhiImage:
-    """Predicted phi(u^k): each multiplicity word of phi(u), concatenated
-    with itself k times, decoded over the universes of u^k."""
+    """Predicted phi(u^k): each label set of phi(u), drawn from n_falls
+    falls (n_runs runs), written out in each of the k copies of that
+    universe in u^k, copy j shifted by j * n_falls (j * n_runs).  Read as
+    a multiplicity word over the universe, that is the word repeated k
+    times."""
     u = as_word(u)
-    words = image_multiplicity_words(phi(u), content(u), cdt(u))
-    out = []
-    for fall_word, run_word in words:
-        fall_counts = fall_word * k
-        run_counts = run_word * k
-        out.append((
-            tuple(i for i, c in enumerate(fall_counts) for _ in range(c)),
-            tuple(i for i, c in enumerate(run_counts) for _ in range(c)),
-        ))
-    return tuple(out)
+    return tuple((tuple(f + j * n_falls for j in range(k) for f in falls),
+                  tuple(r + j * n_runs for j in range(k) for r in runs))
+                 for (falls, runs), (n_falls, _, n_runs, _)
+                 in zip(phi(u), params(content(u), cdt(u)).factors(), strict=True))

@@ -108,17 +108,21 @@ def poly_text(coeffs: Iterable[int]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# q-analogues (exact, via the Pascal recurrence -- never by division)
+# q-analogues, exact: each division below leaves no remainder, and
+# poly_divexact raises if one ever does
 
 @lru_cache(maxsize=None)
 def q_binomial(a: int, b: int) -> IntPoly:
+    """[a choose b]_q, which is [a choose a - b]_q, in min(b, a - b) steps
+    of one loop: no call stack per unit of a."""
     if b < 0 or b > a:
         return ZERO
-    if b == 0 or b == a:
-        return ONE
-    # [a choose b]_q = [a-1 choose b-1]_q + q^b [a-1 choose b]_q
-    return poly_add(q_binomial(a - 1, b - 1),
-                    poly_mul(monomial(b), q_binomial(a - 1, b)))
+    out = ONE
+    for i in range(min(b, a - b)):
+        # [a choose i+1]_q = [a choose i]_q (q^(a-i) - 1) / (q^(i+1) - 1)
+        out = poly_divexact(poly_mul(poly_sub(monomial(a - i), ONE), out),
+                            poly_sub(monomial(i + 1), ONE))
+    return out
 
 
 def q_multinomial(alpha: Iterable[int]) -> IntPoly:

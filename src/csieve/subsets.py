@@ -136,21 +136,28 @@ def by_profile(objects, n: int, d: int) -> dict[Composition, list[IndexTuple]]:
 
 def _profiles(k: int, parts: int, unit: int, cap: int) -> Iterator[Composition]:
     """The compositions of k into `parts` parts, each a multiple of `unit`
-    and at most `cap`, in lexicographic order."""
-    if k % unit:
+    and at most `cap`, in lexicographic order.  The next composition
+    raises the rightmost part that can take one more unit from the parts
+    after it, then gives those parts their smallest values: what they
+    hold between them, as much as fits in each part from the right."""
+    top = cap - cap % unit
+    if k % unit or not 0 <= k <= top * parts:
         return
-    top = cap // unit
-
-    def extend(remaining: int, left: int) -> Iterator[Composition]:
-        if left == 1:
-            yield (remaining * unit,)
+    alpha = [0] * parts
+    start, rest = 0, k           # the parts from start on hold rest
+    while True:
+        for j in range(parts - 1, start - 1, -1):
+            alpha[j] = min(top, rest)
+            rest -= alpha[j]
+        yield tuple(alpha)
+        start, rest = parts - 1, 0
+        while start >= 0 and (alpha[start] == top or not rest):
+            rest += alpha[start]
+            start -= 1
+        if start < 0:
             return
-        for first in range(max(0, remaining - top * (left - 1)), min(top, remaining) + 1):
-            for rest in extend(remaining - first, left - 1):
-                yield (first * unit,) + rest
-
-    if 0 <= k <= top * unit * parts:
-        yield from extend(k // unit, parts)
+        alpha[start] += unit
+        start, rest = start + 1, rest - unit
 
 
 def enumerate_g_de(n: int, k: int, d: int, e: int) -> Iterator[IndexTuple]:
@@ -343,46 +350,26 @@ def verify_isomorphic_actions(n: int, d: int, k: int) -> Verdict:
 
 def shift_bijection(n: int, d: int, alpha):
     """A self-map of the profile-alpha subsets raising Sum' by exactly
-    e = gcd(d, alpha) modulo d: rotate interval j forward by c_j where the
-    c_j solve c_1 alpha_1 + ... ≡ e (mod d)."""
+    e = gcd(d, alpha) modulo d: the step of a universe table rotating
+    interval j forward by c_j, where the c_j solve
+    c_1 alpha_1 + ... ≡ e (mod d).  Extended Euclid, folded over d,
+    alpha_1, alpha_2, ..., keeps g = gcd(d, alpha_1..alpha_j) ≡
+    c_1 alpha_1 + ... + c_j alpha_j (mod d)."""
     alpha = tuple(alpha)
     e = gcd(d, *alpha)
-    coeffs = _gcd_coefficients(d, alpha, e)
-
-    def apply(a) -> IndexTuple:
-        return tuple(sorted(
-            d * (x // d) + (x % d + coeffs[x // d]) % d for x in a))
-
-    return apply, e
-
-
-def _gcd_coefficients(d: int, alpha, e: int) -> tuple[int, ...]:
-    """c_j with sum of c_j alpha_j congruent to e modulo d."""
-    # fold each alpha_j into a running gcd with d, tracking coefficients
-    g = d
-    rep = [0] * len(alpha)
+    g, coeffs = d, [0] * len(alpha)
     for j, a in enumerate(alpha):
-        new_g = gcd(g, a)
-        # find u, v with u*g + v*a = new_g
-        u, v = _bezout(g, a)
-        rep = [u * c for c in rep]
-        rep[j] += v
-        g = new_g
+        # r0 = s0 g + t0 a and r1 = s1 g + t1 a throughout
+        r0, s0, t0, r1, s1, t1 = g, 1, 0, a, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, s0, t0, r1, s1, t1 = r1, s1, t1, r0 - q * r1, s0 - q * s1, t0 - q * t1
+        g = r0
+        coeffs = [s0 * c % d for c in coeffs]
+        coeffs[j] = t0 % d
     assert g == e
-    return tuple(c % d for c in rep)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """u, v with u*a + v*b = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_s, old_t
+    table = tuple(d * (x // d) + (x % d + coeffs[x // d]) % d for x in range(n))
+    return _table_step(table), e
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,21 @@ def test_gf_with_delta_and_formula(capsys):
     assert report["equal"] is True
 
 
+def test_gf_formula_without_delta_is_the_q_multinomial(capsys):
+    code, out, _ = run(capsys, "gf", "--alpha", "2,2", "--formula", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["formula"] == report["polynomial"] == "1 + q + 2*q^2 + q^3 + q^4"
+    assert report["equal"] is True and "formula_modulus" not in report
+
+
+def test_gf_formula_mismatch_exits_1_with_both_polynomials(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "q_multinomial", lambda alpha: (1, 1))
+    code, out, err = run(capsys, "gf", "--alpha", "2,2", "--formula")
+    assert code == 1 and err == ""
+    assert out == "1 + q + 2*q^2 + q^3 + q^4\nformula: 1 + q\nequal: false\n"
+
+
 def test_gf_formula_rejects_inv(capsys):
     code, _, err = run(capsys, "gf", "--alpha", "2,2", "--stat", "inv",
                        "--formula")
@@ -104,6 +123,13 @@ def test_gf_cap(capsys, monkeypatch):
     assert "refusing" in err
 
 
+def test_a_cap_that_is_not_an_integer_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("CSIEVE_CAP", "abc")
+    code, out, err = run(capsys, "gf", "--alpha", "2,2")
+    assert_usage_error(code, out, err)
+    assert err == "error: CSIEVE_CAP must be an integer, got 'abc'\n"
+
+
 def test_verify_single_instance_json(capsys):
     code, out, _ = run(capsys, "verify", "main", "--alpha", "2,2",
                        "--delta", "0,2")
@@ -112,6 +138,12 @@ def test_verify_single_instance_json(capsys):
     assert report["holds"] is True
     assert report["instances_checked"] == 1
     assert report["failures"] == []
+
+
+def test_a_short_delta_is_padded_with_zeros(capsys):
+    code, out, _ = run(capsys, "verify", "main", "--alpha", "2,2", "--delta", "0")
+    assert code == 0
+    assert json.loads(out)["instances"] == [{"alpha": [2, 2], "delta": [0, 0], "holds": True}]
 
 
 def test_verify_sweep_text(capsys):
@@ -226,10 +258,16 @@ def test_verify_mbs_n_zero_exits_2(capsys):
     # a negative block count or size
     ["mbs", "--n", "4", "--k", "2", "--b", "-1"],
     ["mbs", "--n", "4", "--k", "-1", "--b", "0"],
+    # a sweep bound out of range, a letter 0, a negative part
+    ["main", "--n-max", "-1"],
+    ["macmahon", "--max-parts", "0"],
+    ["flex-universal", "--necklace", "10"],
+    ["main", "--alpha=2,-1", "--delta", "0,0"],
 ], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
         "main-n", "flex-universal-max-parts", "main-over-cap", "g-dd-n0", "g-dd-d4",
         "g-dd-k-negative", "action-isomorphism-n0", "action-isomorphism-d0",
-        "action-isomorphism-k-negative", "mbs-b-negative", "mbs-k-negative"])
+        "action-isomorphism-k-negative", "mbs-b-negative", "mbs-k-negative",
+        "n-max-negative", "max-parts-zero", "necklace-letter-0", "alpha-negative"])
 def test_verify_usage_errors_exit_2(capsys, argv):
     assert_usage_error(*run(capsys, "verify", *argv))
 
@@ -307,12 +345,33 @@ def test_a_size_too_long_to_print_is_refused_as_a_power_of_ten(capsys, monkeypat
 @pytest.mark.parametrize("argv", [
     ["verify", "main", "--alpha", "999,1", "--delta", "0,1"],
     ["gf", "--alpha", "2000,1", "--delta", "0,1"],
-], ids=["verify-main", "gf"])
+    ["verify", "vandermonde", "--alpha", "500,1"],
+    ["verify", "tilde-gf", "--alpha", "500,1", "--delta", "0,1"],
+    ["verify", "period-g", "--alpha", "500,1", "--delta", "0,1"],
+    ["gf", "--alpha", "500,1", "--formula"],
+    ["verify", "g-dd", "--n", "2000", "--k", "0", "--d", "2"],
+], ids=["verify-main", "gf", "vandermonde", "tilde-gf", "period-g", "gf-formula", "g-dd"])
 def test_a_deep_content_within_the_cap_runs(capsys, monkeypatch, argv):
-    # 1,000 and 2,001 letters, one necklace each: no call stack per letter
+    # 1,000 and 2,001 letters, one necklace each; q-binomials of a = 501;
+    # the 1,000 intervals of the empty family: no call stack per letter,
+    # per unit of a or per part
     monkeypatch.delenv("CSIEVE_CAP", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
+    # the read end is closed before the child writes: its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "csieve.cli", "verify", "flex-universal", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_default_content_sweeps_fit_the_default_cap(monkeypatch):

@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from csieve import insertion
 from csieve.formulas import (count_w_alpha_delta, feasible_deltas, is_nonempty,
                              maj_gf_mod_n, params, tilde_maj_gf)
-from csieve.insertion import (fall_segments, image_multiplicity_words,
-                              insert_triple, leaves, phi, phi_inverse, power_image,
-                              predicted_maj_increment, run_segments)
+from csieve.insertion import (fall_segments, insert_triple, leaves, phi, phi_inverse,
+                              power_image, predicted_maj_increment, run_segments)
 from csieve.qpoly import ZERO, ResiduePoly
 from csieve.sweeps import iter_contents
-from csieve.words import as_word, cdt_groups, content, maj, strong_compositions
+from csieve.words import (as_word, cdt_groups, content, enumerate_by_content, maj,
+                          strong_compositions)
 
 
 def letters_of(w, seg):
@@ -210,11 +210,24 @@ def test_label_spaces_shape():
 
 
 def test_multiplicity_word_encoding():
-    image = phi((2, 1, 1, 3, 3, 2, 3, 1, 1))
-    words = image_multiplicity_words(image, (4, 2, 3), (0, 2, 1))
-    assert words[0] == ((1, 0, 1, 0), (0, 0))
-    # decoding round-trips through the concatenation used for powers
-    assert power_image((2, 1, 1, 3, 3, 2, 3, 1, 1), 1) == image
+    # one copy of each label set's multiplicity word: phi itself
+    w = (2, 1, 1, 3, 3, 2, 3, 1, 1)
+    assert power_image(w, 1) == phi(w)
+
+
+def test_power_image_is_phi_of_the_power():
+    # every word u ending in 1 of strong content with |u| <= 6, at every
+    # k >= 2 with |u^k| <= 12
+    pairs = 0
+    for n in range(1, 7):
+        for parts in range(1, n + 1):
+            for alpha in strong_compositions(n, parts):
+                for u in enumerate_by_content(alpha):
+                    if u[-1] == 1:
+                        for k in range(2, 12 // n + 1):
+                            assert power_image(u, k) == phi(u * k), (u, k)
+                            pairs += 1
+    assert pairs == 1323
 
 
 def test_phi_inverse_rejects_bad_labels():

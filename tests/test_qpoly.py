@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, q-analogues, cyclotomics, residues."""
 
+import functools
 import math
 import random
 
@@ -57,6 +58,26 @@ def test_q_binomial():
             assert sum(q_binomial(a, b)) == math.comb(a, b)
     # symmetry
     assert q_binomial(7, 3) == q_binomial(7, 4)
+
+
+@functools.cache
+def pascal_q_binomial(a, b):
+    """[a choose b]_q by the q-Pascal recurrence
+    [a choose b]_q = [a-1 choose b-1]_q + q^b [a-1 choose b]_q."""
+    if b < 0 or b > a:
+        return ZERO
+    if b == 0 or b == a:
+        return ONE
+    return poly_add(pascal_q_binomial(a - 1, b - 1),
+                    poly_mul(monomial(b), pascal_q_binomial(a - 1, b)))
+
+
+def test_q_binomial_is_the_pascal_recurrence():
+    for a in range(30):
+        for b in range(-1, a + 2):
+            assert q_binomial(a, b) == pascal_q_binomial(a, b), (a, b)
+    # one loop, no call stack per unit of a
+    assert q_binomial(2000, 1) == (1,) * 2000
 
 
 def test_q_multinomial_and_multichoose():

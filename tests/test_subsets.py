@@ -1,5 +1,6 @@
 """Subset and multisubset families under interval rotations."""
 
+import functools
 import itertools
 from math import gcd
 
@@ -179,6 +180,26 @@ def test_gcd_families_are_the_filter_definition():
                            for small, big in zip(chain, chain[1:]))]
 
 
+@functools.cache
+def recursive_profiles(k, parts, unit, cap):
+    """The compositions of k into `parts` multiples of `unit`, each at
+    most `cap`, in lexicographic order: the first part, then recursively
+    the rest."""
+    if parts == 1:
+        return [(k,)] if 0 <= k <= cap and k % unit == 0 else []
+    return [(first,) + rest for first in range(0, min(k, cap) + 1, unit)
+            for rest in recursive_profiles(k - first, parts - 1, unit, cap)]
+
+
+def test_profiles_are_the_recursive_lexicographic_walk():
+    for k in range(14):
+        for parts in range(1, 9):
+            for unit in range(1, 5):
+                for cap in range(9):
+                    assert list(subsets._profiles(k, parts, unit, cap)) == \
+                        recursive_profiles(k, parts, unit, cap), (k, parts, unit, cap)
+
+
 def test_chain_family_skips_trivial_unit_entries():
     # gcd(1, profile) == 1 always: a repeated 1 leaves the family unchanged
     assert list(enumerate_g_chain(6, 3, (1, 1, 3, 6))) == list(
@@ -272,12 +293,20 @@ def test_the_shifted_sum_tally_is_the_sum_prime_tally(monkeypatch):
 
 
 def test_shift_bijection_raises_sum_prime_by_e():
-    for n, d, alpha in [(8, 4, (2, 1)), (6, 3, (1, 2)), (12, 4, (2, 2, 0))]:
-        apply, e = shift_bijection(n, d, alpha)
-        for a in enumerate_s_alpha(n, d, alpha):
-            b = apply(a)
-            assert interval_profile(b, n, d) == interval_profile(a, n, d)
-            assert (sum_prime(b) - sum_prime(a)) % d == e % d
+    # every subset profile with n <= 10: apply permutes the profile's
+    # subsets and raises Sum' by e = gcd(d, alpha) modulo d
+    profiles = 0
+    for n, d in divisor_pairs(10):
+        for k in range(n + 1):
+            for alpha, members in by_profile(enumerate_subsets(n, k), n, d).items():
+                apply, e = shift_bijection(n, d, alpha)
+                assert e == gcd(d, *alpha)
+                images = [apply(a) for a in members]
+                assert sorted(images) == members, (n, d, alpha)
+                for a, b in zip(members, images):
+                    assert (sum_prime(b) - sum_prime(a)) % d == e % d, (n, d, a)
+                profiles += 1
+    assert profiles == 2610
 
 
 def test_mbs_values():
