@@ -246,22 +246,17 @@ def rotation_action(n: int, carrier) -> CyclicAction:
     return CyclicAction(n, carrier, lambda w: w[-1:] + w[:-1])
 
 
-def _word_class(p: InstanceParams, words):
-    """The given words of the class, or else the class enumerated."""
-    return cdt_groups(p.alpha).get(p.delta, []) if words is None else words
-
-
 # ---------------------------------------------------------------------------
-# theorem verifiers, one instance each.  A sweep that has already
-# enumerated the class passes its words (flex-maj: its necklaces); without
-# them a verifier enumerates the class itself.
+# theorem verifiers, one instance each.  A word class is read off its
+# content's table (cdt_groups or necklace_classes), which a sweep's
+# instances of one content share.
 
-def verify_main_theorem(alpha, delta, words=None) -> Verdict:
+def verify_main_theorem(alpha, delta) -> Verdict:
     """The refinement CSP: rotation on the words of content alpha and CDT
     delta, against their maj generating function.  A class that rotation
     does not preserve fails with a closure witness."""
     p = params(alpha, delta)
-    words = _word_class(p, words)
+    words = cdt_groups(p.alpha).get(p.delta, ())
     return check_csp(rotation_action(p.n, words), brute_gf(words, p.n, maj))
 
 
@@ -271,21 +266,23 @@ def verify_extension(alpha, delta) -> Verdict:
     hold.  The failure witness gives the four outcomes, or for a class
     that rotation does not preserve it is the closure witness."""
     p = params(alpha, delta)
-    words = _word_class(p, None)
+    words = cdt_groups(p.alpha).get(p.delta, ())
     return check_extension(rotation_action(p.n, words), p.g, brute_gf(words, p.n, maj))
 
 
-def verify_formula_vs_oracle(alpha, delta, words=None, closed=None) -> Verdict:
+def verify_formula_vs_oracle(alpha, delta, closed=None) -> Verdict:
     """Exact agreement of the closed forms with enumeration: the emptiness
     test, the count, the tilde generating function over the words ending
     in 1, and the maj generating function mod q^n - 1, folded from that
     tilde function as maj_gf_mod_n folds it.  maj is taken once per word.
-    A sweep that has the closed forms from closed_forms passes them as
-    `closed`, the pair (count, tilde); without them they are computed here.
-    A witness carries the enumerated and the closed-form values that
-    differ."""
+    A sweep passes the pair (count, tilde) from closed_forms as `closed`:
+    its one walk per content multiplies a factor that several deltas share
+    once.  Without it the pair is folded over this instance's factors
+    alone, less work for one instance than a walk of every delta of the
+    content.  A witness carries the enumerated and the closed-form values
+    that differ."""
     p = params(alpha, delta)
-    words = _word_class(p, words)
+    words = cdt_groups(p.alpha).get(p.delta, ())
     nonempty = is_nonempty(alpha, delta)
     if bool(words) != nonempty:
         return Verdict(False, {"check": "nonempty", "enumerated": len(words),
@@ -327,7 +324,9 @@ def vandermonde_check(alpha) -> Verdict:
 def period_g_check(alpha, delta, tilde=None) -> Verdict:
     """The maj generating function has period k and period g modulo n: the
     fold of maj_gf_mod_n, from the tilde generating function a sweep
-    passes (closed_forms), or else from tilde_maj_gf."""
+    passes (closed_forms, as for verify_formula_vs_oracle's `closed`), or
+    else from tilde_maj_gf over this instance's factors alone: a walk of
+    every delta of the content would be uncapped, as period-g has no cap."""
     p = params(alpha, delta)
     f = _fold_tilde(p, tilde_maj_gf(alpha, delta) if tilde is None else tilde)
     if not has_period(f, p.k):
@@ -350,14 +349,12 @@ def macmahon_check(alpha) -> Verdict:
     return Verdict(True, None)
 
 
-def verify_flex_maj_equidistribution(alpha, delta, necklaces=None) -> Verdict:
+def verify_flex_maj_equidistribution(alpha, delta) -> Verdict:
     """flex and maj agree as distributions modulo n on the word class,
-    given (or else read from necklace_classes) as its necklaces' (least
-    rotation, period) pairs: the keys of flex_per_orbit are the class."""
+    read from necklace_classes as its necklaces' (least rotation, period)
+    pairs: the keys of flex_per_orbit are the class."""
     p = params(alpha, delta)
-    if necklaces is None:
-        necklaces = necklace_classes(p.alpha).get(p.delta, [])
-    flexes = flex_per_orbit(necklaces)
+    flexes = flex_per_orbit(necklace_classes(p.alpha).get(p.delta, ()))
     flex_gf = brute_gf(flexes, p.n, flexes.__getitem__)
     maj_gf = brute_gf(flexes, p.n, maj)
     if flex_gf != maj_gf:

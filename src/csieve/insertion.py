@@ -278,18 +278,18 @@ def _edge_failure(check: str, parent: Word, letter: int, falls, runs, child: Wor
                            "falls": falls, "runs": runs, "child": child, **found})
 
 
-def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
+def verify_phi(alpha, delta) -> Verdict:
     """The insertion bijection on one instance, in one walk of its tree
     (_expansions).  On every edge (parent, letter, falls, runs, child)
     the triple recovered from the child is (parent, falls, runs), and
     the predicted maj increment matches the actual change.  phi folds
     that recovery from a leaf to the root, so by induction phi of every
     leaf returns the labels of its path.  Last, the leaves are exactly the
-    `enumerated` words ending in 1 (by default, from words_ending_in_one),
-    each built once.  maj is taken once per node, and cdes once per node
-    with children.  As |F| + |R| = alpha_l, the predicted increment
-    _maj_increment(cdes(parent), F, R) is _maj_increment(0, F, R), taken
-    once per label, plus cdes(parent) * alpha_l.
+    class's words ending in 1 in words_ending_in_one, each built once.
+    maj is taken once per node, and cdes once per node with children.  As
+    |F| + |R| = alpha_l, the predicted increment _maj_increment(cdes(parent),
+    F, R) is _maj_increment(0, F, R), taken once per label, plus
+    cdes(parent) * alpha_l.
 
     The walk recovers each edge with _recover_labels, phi's step without
     its re-insertion check: the child was built from exactly
@@ -298,8 +298,7 @@ def verify_phi(alpha, delta, enumerated: set[Word] | None = None) -> Verdict:
     the comparison fails.  A recovery witness holds what phi's step reads
     from the child alone."""
     p = params(alpha, delta)
-    if enumerated is None:
-        enumerated = words_ending_in_one(p.alpha).get(p.delta, set())
+    enumerated = words_ending_in_one(p.alpha).get(p.delta, frozenset())
     spaces = _label_spaces(p)
     depth = len(spaces)
     # the increments below each depth, in the order of _expansions' edges

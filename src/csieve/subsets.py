@@ -177,7 +177,8 @@ def enumerate_g_de(n: int, k: int, d: int, e: int) -> Iterator[IndexTuple]:
 
 def validate_chain(n: int, k: int, chain) -> tuple[int, ...]:
     """A divisor chain d_p | ... | d_0 | n given in ascending order ending
-    with n, where d_0 = gcd(n, k)."""
+    with n, where d_0 = gcd(n, k); n >= 1 and k >= 0 are checked first."""
+    _check_universe(n, 1, k)       # d = 1 divides every n
     chain = tuple(chain)
     if len(chain) < 2 or chain[-1] != n:
         raise ValueError("chain must end with n")
@@ -187,11 +188,6 @@ def validate_chain(n: int, k: int, chain) -> tuple[int, ...]:
         if small < 1 or big % small:
             raise ValueError(f"not a divisibility chain: {small} does not divide {big}")
     return chain
-
-
-def _coarsen(alpha: Composition, factor: int) -> Composition:
-    """The profile over intervals `factor` times as long."""
-    return tuple(sum(alpha[i:i + factor]) for i in range(0, len(alpha), factor))
 
 
 def enumerate_g_chain(n: int, k: int, chain) -> Iterator[IndexTuple]:
@@ -214,11 +210,16 @@ def _gcd_family(n: int, k: int, pairs) -> Iterator[IndexTuple]:
     """The k-subsets of [0, n-1] whose profile over the c-intervals has
     gcd exactly b with c for every pair (b, c) of `pairs`, the first pair
     (e, d) naming the finest intervals.  Walks the d-interval profiles
-    whose parts are multiples of e, tests each once, coarsened to every c,
-    and yields the subsets of each profile that passes."""
+    whose parts are multiples of e and yields the subsets of each profile
+    that passes.  A zero part leaves a gcd as it is, so each profile's
+    nonzero parts (at most k) are read once, and the parts over the
+    c-intervals are their sums grouped by index // (c / d)."""
     e, d = pairs[0]
     for alpha in _profiles(k, n // d, e, d):
-        if all(gcd(big, *_coarsen(alpha, big // d)) == small for small, big in pairs):
+        parts = [(i, a) for i, a in enumerate(alpha) if a]
+        if all(gcd(big, *(sum(a for _, a in group) for _, group in
+                          itertools.groupby(parts, lambda part: part[0] // (big // d))))
+               == small for small, big in pairs):
             yield from _enumerate_profile(n, d, alpha, itertools.combinations)
 
 
@@ -243,9 +244,10 @@ def global_action(n: int, d: int, carrier) -> CyclicAction:
 
 def verify_multisubset_refinement(n: int, d: int, alpha, carrier=None) -> Verdict:
     """(multisubsets of profile alpha, interval C_d, Sum) is a CSP.  A
-    sweep that has already bucketed the k-multisubsets by profile passes
-    the bucket as the carrier; without it the verifier enumerates the
-    profile itself."""
+    sweep passes as the carrier the profile's bucket of its one pass over
+    the k-multisubsets, cheaper than one enumeration per profile; without
+    it the profile alone is enumerated, as a table of every k-multisubset
+    would go past the cap that the profile was sized by."""
     carrier = tuple(enumerate_m_alpha(n, d, alpha) if carrier is None else carrier)
     return check_csp(interval_action(n, d, carrier), brute_gf(carrier, d, sum))
 
@@ -395,14 +397,15 @@ def _sorted_mbs(a: IndexTuple, n: int) -> int:
     return sum(maxima) + len(maxima)
 
 
-def subsets_by_blocks(n: int, k: int) -> list[list[IndexTuple]]:
+@lru_cache(maxsize=1)
+def subsets_by_blocks(n: int, k: int) -> tuple[tuple[IndexTuple, ...], ...]:
     """The k-subsets of Z/n (0-based) bucketed by their number of cyclic
     blocks, each block-counted once: entry b is S_{k,b}, in lexicographic
     order, for b = 0..k (a k-subset has at most k blocks)."""
     buckets: list[list[IndexTuple]] = [[] for _ in range(k + 1)]
     for a in enumerate_subsets(n, k):
         buckets[len(_block_maxima(a, n))].append(a)
-    return buckets
+    return tuple(map(tuple, buckets))
 
 
 def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
@@ -412,14 +415,13 @@ def enumerate_s_kb(n: int, k: int, b: int) -> Iterator[IndexTuple]:
         yield from subsets_by_blocks(n, k)[b]
 
 
-def verify_mbs_csp(n: int, k: int, b: int, carrier=None) -> Verdict:
-    """(S_{k,b}, rotation C_n, mbs) is a CSP.  A sweep that has already
-    bucketed the k-subsets passes the bucket as the carrier; without it
-    the verifier enumerates S_{k,b} itself."""
+def verify_mbs_csp(n: int, k: int, b: int) -> Verdict:
+    """(S_{k,b}, rotation C_n, mbs) is a CSP, S_{k,b} read off the
+    buckets of `subsets_by_blocks`."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0 or b < 0:
         raise ValueError("k and b must be non-negative")
-    carrier = tuple(enumerate_s_kb(n, k, b) if carrier is None else carrier)
+    carrier = tuple(enumerate_s_kb(n, k, b))
     return check_csp(global_action(n, n, carrier),
                      brute_gf(carrier, n, lambda a: _sorted_mbs(a, n)))

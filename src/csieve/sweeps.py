@@ -2,6 +2,8 @@
 
 Each sweep drives a public verifier of the layer that owns the check and
 yields (key, verdict) pairs, key a JSON-ready dict naming the instance.
+A word sweep reads each content's keys off the memoized table that its
+verifier reads the class from (cdt_groups or necklace_classes).
 The acceptance tests run every sweep of THEOREMS through `csieve verify`
 at its default bounds, so those defaults are the acceptance ranges.
 """
@@ -18,11 +20,9 @@ from .formulas import (closed_forms, feasible_deltas, macmahon_check, multichoos
                        verify_flex_universal, verify_formula_vs_oracle, verify_main_theorem)
 from .insertion import verify_phi
 from .subsets import (by_profile, enumerate_multisubsets, enumerate_subsets,
-                      subsets_by_blocks, verify_chain_refinement, verify_g_dd_trivial,
-                      verify_isomorphic_actions, verify_mbs_csp,
-                      verify_multisubset_refinement, verify_subset_star)
-from .words import (cdt_groups, necklace_classes, necklaces_over, strong_compositions,
-                    words_ending_in_one)
+                      verify_chain_refinement, verify_g_dd_trivial, verify_isomorphic_actions,
+                      verify_mbs_csp, verify_multisubset_refinement, verify_subset_star)
+from .words import cdt_groups, necklace_classes, necklaces_over, strong_compositions
 
 SweepItem = tuple[dict, Verdict]
 
@@ -53,9 +53,8 @@ def sweep_main(n_max: int = 8, max_parts: int = 4) -> Iterator[SweepItem]:
     """The refinement CSP (verify_main_theorem) on every feasible
     content/CDT class."""
     for alpha in iter_contents(n_max, max_parts):
-        for delta, words in sorted(cdt_groups(alpha).items()):
-            yield ({"alpha": alpha, "delta": delta},
-                   verify_main_theorem(alpha, delta, words))
+        for delta in sorted(cdt_groups(alpha)):
+            yield {"alpha": alpha, "delta": delta}, verify_main_theorem(alpha, delta)
 
 
 def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
@@ -67,20 +66,16 @@ def sweep_formulas(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
         closed = {p.delta: (count, tilde) for p, count, tilde in closed_forms(alpha)}
         for delta in sorted(set(groups).union(closed)):
             yield ({"alpha": alpha, "delta": delta},
-                   verify_formula_vs_oracle(alpha, delta, groups.get(delta, ()),
-                                            closed.get(delta)))
+                   verify_formula_vs_oracle(alpha, delta, closed.get(delta)))
 
 
 def sweep_phi(n_max: int = 10, max_parts: int = 4) -> Iterator[SweepItem]:
     """Bijectivity of the insertion encoding (verify_phi: recovery and the
     maj increment on every edge, the leaves against brute force) on every
-    feasible content/CDT class; the leaf-set oracle enumerates each
-    content's words ending in 1 once."""
+    feasible content/CDT class."""
     for alpha in iter_contents(n_max, max_parts):
-        ending_in_one = words_ending_in_one(alpha)
         for delta in feasible_deltas(alpha):
-            yield ({"alpha": alpha, "delta": delta},
-                   verify_phi(alpha, delta, ending_in_one.get(delta, set())))
+            yield {"alpha": alpha, "delta": delta}, verify_phi(alpha, delta)
 
 
 def sweep_macmahon(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
@@ -112,12 +107,11 @@ def sweep_flex_universal(n_max: int = 10) -> Iterator[SweepItem]:
 
 def sweep_flex_maj(n_max: int = 8, max_parts: int | None = None) -> Iterator[SweepItem]:
     """flex and maj equidistributed mod n (verify_flex_maj_equidistribution)
-    on every content/CDT class, each handed its necklaces from
-    necklace_classes; all parts by default."""
+    on every content/CDT class of necklace_classes; all parts by default."""
     for alpha in iter_contents(n_max, max_parts):
-        for delta, members in sorted(necklace_classes(alpha).items()):
+        for delta in sorted(necklace_classes(alpha)):
             yield ({"alpha": alpha, "delta": delta},
-                   verify_flex_maj_equidistribution(alpha, delta, members))
+                   verify_flex_maj_equidistribution(alpha, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +190,12 @@ def sweep_action_isomorphism(n_max: int = 12) -> Iterator[SweepItem]:
 
 
 def sweep_mbs(n_max: int = 8) -> Iterator[SweepItem]:
-    """The block-maximum-sum CSP on every S_{k,b}; the k-subsets of each
-    (n, k) are block-counted once and handed out by bucket."""
+    """The block-maximum-sum CSP on every S_{k,b}, b = 0..k; the k-subsets
+    of each (n, k) are block-counted once (subsets.subsets_by_blocks)."""
     for n in range(1, n_max + 1):
         for k in range(0, n + 1):
-            for b, carrier in enumerate(subsets_by_blocks(n, k)):
-                yield {"n": n, "k": k, "b": b}, verify_mbs_csp(n, k, b, carrier)
+            for b in range(k + 1):
+                yield {"n": n, "k": k, "b": b}, verify_mbs_csp(n, k, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ positions.  Compositions are plain tuples of non-negative integers.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -286,7 +287,11 @@ def necklaces_over(k: int, n: int) -> Iterator[Word]:
             yield w
 
 
-def necklace_classes(alpha) -> dict[Composition, list[tuple[Word, int]]]:
+# Each table below keeps its last content (a tuple), so a sweep's instances
+# of one content share one enumeration; it hands out tuples and frozensets.
+
+@lru_cache(maxsize=1)
+def necklace_classes(alpha) -> dict[Composition, tuple[tuple[Word, int], ...]]:
     """The (least rotation, period) of every necklace of the content,
     grouped by cyclic descent type padded to len(alpha) = m, each group in
     the order of `necklaces`; cdt is invariant under rotation, so it is
@@ -296,7 +301,7 @@ def necklace_classes(alpha) -> dict[Composition, list[tuple[Word, int]]]:
     is what is left of the necklace's cyclic descents."""
     m = len(alpha)
     if not m:
-        return {(): list(necklaces(alpha))}
+        return {(): tuple(necklaces(alpha))}
     lower: dict[Word, tuple] = {}    # restriction -> (its levels, their sum)
     classes: dict[Composition, list[tuple[Word, int]]] = {}
     for w, p in necklaces(alpha):
@@ -306,23 +311,26 @@ def necklace_classes(alpha) -> dict[Composition, list[tuple[Word, int]]]:
             levels = pad_to(cdt(restriction), m - 1)
             known = lower[restriction] = levels, sum(levels)
         classes.setdefault(known[0] + (cdes(w) - known[1],), []).append((w, p))
-    return classes
+    return {delta: tuple(members) for delta, members in classes.items()}
 
 
-def cdt_groups(alpha) -> dict[Composition, list[Word]]:
+@lru_cache(maxsize=1)
+def cdt_groups(alpha) -> dict[Composition, tuple[Word, ...]]:
     """All words of the content, grouped by cyclic descent type padded to
     len(alpha), the keys in the order of necklace_classes: each class is
     the distinct rotations of each of its necklaces in turn, the necklaces
     in the order of `necklaces`, each from its least rotation.  The first
     word of a class is its least; the rest are not sorted."""
-    return {delta: [w[i:] + w[:i] for w, p in members for i in range(p)]
+    return {delta: tuple([w[i:] + w[:i] for w, p in members for i in range(p)])
             for delta, members in necklace_classes(alpha).items()}
 
 
-def words_ending_in_one(alpha) -> dict[Composition, set[Word]]:
+@lru_cache(maxsize=1)
+def words_ending_in_one(alpha) -> dict[Composition, frozenset[Word]]:
     """The words of strong content alpha that end in 1, grouped by cyclic
     descent type: the rotations ending in 1 of each necklace of a class of
     necklace_classes, which is brute-force enumeration (FKM and cdt),
     independent of insertion."""
-    return {delta: {w[i:] + w[:i] for w, p in members for i in range(p) if w[i - 1] == 1}
+    return {delta: frozenset([w[i:] + w[:i] for w, p in members for i in range(p)
+                              if w[i - 1] == 1])
             for delta, members in necklace_classes(alpha).items()}

@@ -1,6 +1,7 @@
 """Every function and class in src/csieve has a caller in the package, no
-module of it imports another module's private name, and each module
-imports only the modules below it in one layer order.
+module of it imports another module's private name, each module imports
+only the modules below it in one layer order, and each theorem verifier
+takes its instance and only the sharing arguments allowed below.
 
 Code that only tests call belongs in the tests, as a reference the package
 is compared with.  A definition passes when the package refers to it
@@ -8,8 +9,11 @@ outside its own body, when the benchmark's tracer wraps it, or when the
 allowlist below names it with its reason."""
 
 import ast
+import inspect
 from collections import Counter
 from pathlib import Path
+
+from csieve import sweeps
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "csieve"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -93,3 +97,37 @@ def test_each_module_imports_only_the_modules_before_it():
                 later += [f"{name}:{node.lineno} {module}" for module in imported
                           if module not in LAYERS[:position]]
     assert later == []
+
+
+# The optional arguments through which a sweep hands a verifier work it
+# shares between instances, each with the reason the verifier's own path
+# for one instance is not a memoized table of the whole content or (n, k).
+SHARING = {
+    ("verify_formula_vs_oracle", "closed"):
+        "closed_forms walks the delta tree once per content; one instance folds "
+        "its own factors, less work than walking every delta",
+    ("period_g_check", "tilde"):
+        "the same walk; period-g has no cap, so one instance walks no other delta",
+    ("verify_multisubset_refinement", "carrier"):
+        "one pass per (n, d, k) buckets every profile; a table of every "
+        "k-multisubset would go past one profile's cap",
+    ("verify_subset_star", "carrier"):
+        "one pass per (n, d, k) buckets every profile; a table of every "
+        "k-subset would go past one profile's cap",
+}
+
+
+def test_each_verifier_takes_its_instance_and_only_the_allowed_sharing_arguments():
+    # the instance parameters come first, in the theorem's order and
+    # without defaults; every other parameter is an allowed sharing
+    # argument that defaults to None, so a new one cannot come in unlisted
+    sharing = set()
+    for name, theorem in sweeps.THEOREMS.items():
+        verify = theorem.verify
+        parameters = list(inspect.signature(verify).parameters.values())
+        instance, rest = parameters[:len(theorem.params)], parameters[len(theorem.params):]
+        assert tuple(p.name for p in instance) == theorem.params, name
+        assert all(p.default is inspect.Parameter.empty for p in instance), name
+        assert all(p.default is None for p in rest), name
+        sharing |= {(verify.__name__, p.name) for p in rest}
+    assert sharing == set(SHARING)

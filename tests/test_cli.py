@@ -237,39 +237,69 @@ def test_verify_mbs_n_zero_exits_2(capsys):
                             "--b", "0"))
 
 
-@pytest.mark.parametrize("argv", [
+DIVIDE = "d must divide n"
+N_POSITIVE = "n must be positive"
+# math.comb's refusal, met while the instance is sized for the cap
+COMB_K = "k must be a non-negative integer"
+
+
+@pytest.mark.parametrize("argv, message", [
     # d = 0 reaches the profile enumeration of both interval theorems
-    ["multisubset", "--n", "3", "--d", "0", "--alpha", "1"],
-    ["subset-star", "--n", "3", "--d", "0", "--alpha", "1"],
+    pytest.param(["multisubset", "--n", "3", "--d", "0", "--alpha", "1"], DIVIDE,
+                 id="multisubset-d0"),
+    pytest.param(["subset-star", "--n", "3", "--d", "0", "--alpha", "1"], DIVIDE,
+                 id="subset-star-d0"),
     # a flag the run would ignore
-    ["extension", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
-    ["main", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
-    ["main", "--n", "3"],
-    ["flex-universal", "--n-max", "3", "--max-parts", "2"],
+    pytest.param(["extension", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
+                 "theorem 'extension' has no sweep; it takes no --n-max",
+                 id="extension-n-max"),
+    pytest.param(["main", "--alpha", "2,2", "--delta", "0,2", "--n-max", "3"],
+                 "the sweep bounds --n-max cannot be given with an instance",
+                 id="main-instance-n-max"),
+    pytest.param(["main", "--n", "3"], "theorem 'main' takes no --n", id="main-n"),
+    pytest.param(["flex-universal", "--n-max", "3", "--max-parts", "2"],
+                 "theorem 'flex-universal' takes no --max-parts",
+                 id="flex-universal-max-parts"),
     # 60!/(30! 30!) words, over the default cap
-    ["main", "--alpha", "30,30", "--delta", "0,5"],
+    pytest.param(["main", "--alpha", "30,30", "--delta", "0,5"],
+                 "refusing to enumerate 118264581564861424 objects (cap 10000000; "
+                 "set CSIEVE_CAP to override)", id="main-over-cap"),
     # an empty universe, d not dividing n, a negative k
-    ["g-dd", "--n", "0", "--k", "0", "--d", "1"],
-    ["g-dd", "--n", "6", "--k", "2", "--d", "4"],
-    ["g-dd", "--n", "6", "--k", "-1", "--d", "3"],
-    ["action-isomorphism", "--n", "0", "--d", "1", "--k", "0"],
-    ["action-isomorphism", "--n", "6", "--d", "0", "--k", "2"],
-    ["action-isomorphism", "--n", "6", "--d", "3", "--k", "-2"],
+    pytest.param(["g-dd", "--n", "0", "--k", "0", "--d", "1"], N_POSITIVE, id="g-dd-n0"),
+    pytest.param(["g-dd", "--n", "6", "--k", "2", "--d", "4"], DIVIDE, id="g-dd-d4"),
+    pytest.param(["g-dd", "--n", "6", "--k", "-1", "--d", "3"], COMB_K,
+                 id="g-dd-k-negative"),
+    pytest.param(["action-isomorphism", "--n", "0", "--d", "1", "--k", "0"], N_POSITIVE,
+                 id="action-isomorphism-n0"),
+    pytest.param(["action-isomorphism", "--n", "6", "--d", "0", "--k", "2"], DIVIDE,
+                 id="action-isomorphism-d0"),
+    pytest.param(["action-isomorphism", "--n", "6", "--d", "3", "--k", "-2"], COMB_K,
+                 id="action-isomorphism-k-negative"),
+    # the universe is checked before the chain
+    pytest.param(["chain", "--n", "0", "--k", "0", "--chain", "0,0"], N_POSITIVE,
+                 id="chain-n0"),
+    pytest.param(["chain", "--n", "4", "--k", "-1", "--chain", "1,4"], COMB_K,
+                 id="chain-k-negative"),
     # a negative block count or size
-    ["mbs", "--n", "4", "--k", "2", "--b", "-1"],
-    ["mbs", "--n", "4", "--k", "-1", "--b", "0"],
+    pytest.param(["mbs", "--n", "4", "--k", "2", "--b", "-1"],
+                 "k and b must be non-negative", id="mbs-b-negative"),
+    pytest.param(["mbs", "--n", "4", "--k", "-1", "--b", "0"], COMB_K,
+                 id="mbs-k-negative"),
     # a sweep bound out of range, a letter 0, a negative part
-    ["main", "--n-max", "-1"],
-    ["macmahon", "--max-parts", "0"],
-    ["flex-universal", "--necklace", "10"],
-    ["main", "--alpha=2,-1", "--delta", "0,0"],
-], ids=["multisubset-d0", "subset-star-d0", "extension-n-max", "main-instance-n-max",
-        "main-n", "flex-universal-max-parts", "main-over-cap", "g-dd-n0", "g-dd-d4",
-        "g-dd-k-negative", "action-isomorphism-n0", "action-isomorphism-d0",
-        "action-isomorphism-k-negative", "mbs-b-negative", "mbs-k-negative",
-        "n-max-negative", "max-parts-zero", "necklace-letter-0", "alpha-negative"])
-def test_verify_usage_errors_exit_2(capsys, argv):
-    assert_usage_error(*run(capsys, "verify", *argv))
+    pytest.param(["main", "--n-max", "-1"], "--n-max must be non-negative",
+                 id="n-max-negative"),
+    pytest.param(["macmahon", "--max-parts", "0"], "--max-parts must be positive",
+                 id="max-parts-zero"),
+    pytest.param(["flex-universal", "--necklace", "10"],
+                 "word letters must be positive integers", id="necklace-letter-0"),
+    pytest.param(["main", "--alpha=2,-1", "--delta", "0,0"],
+                 "alpha parts must be non-negative integers", id="alpha-negative"),
+])
+def test_verify_usage_errors_exit_2(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("CSIEVE_CAP", raising=False)
+    code, out, err = run(capsys, "verify", *argv)
+    assert_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -214,6 +214,11 @@ def test_validate_chain_errors():
         validate_chain(4, 2, (1, 4))         # missing gcd(n, k) before n
     with pytest.raises(ValueError):
         validate_chain(6, 4, (2, 5, 6))      # 5 does not divide 6
+    # the universe is checked before the chain
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        validate_chain(0, 0, (0, 0))
+    with pytest.raises(ValueError, match="^k must be non-negative$"):
+        verify_chain_refinement(4, -1, (1, 4))
 
 
 def test_verifiers_on_worked_examples():
@@ -338,11 +343,11 @@ def test_block_buckets_are_the_block_classes():
     # all; enumerate_s_kb hands out one of them, and nothing past them
     for n in range(1, 11):
         for k in range(n + 1):
-            assert subsets.subsets_by_blocks(n, k) == [
-                [a for a in itertools.combinations(range(n), k) if len(set_maxima(a, n)) == b]
-                for b in range(k + 1)]
+            assert subsets.subsets_by_blocks(n, k) == tuple(
+                tuple(a for a in itertools.combinations(range(n), k)
+                      if len(set_maxima(a, n)) == b)
+                for b in range(k + 1))
             assert list(enumerate_s_kb(n, k, -1)) == list(enumerate_s_kb(n, k, k + 1)) == []
-    assert verify_mbs_csp(5, 3, 2, subsets.subsets_by_blocks(5, 3)[2]).holds
 
 
 def test_g_dd_not_fixed_witness_is_the_first_moved_member(monkeypatch):

@@ -12,6 +12,7 @@ import pytest
 from csieve import formulas, insertion, subsets, sweeps, words
 from csieve.insertion import insert_triple, phi
 from csieve.words import cdt, cdt_groups, enumerate_by_content, maj, strong_compositions
+from test_acceptance import MUTANTS
 
 
 def test_sweep_phi_small():
@@ -197,10 +198,14 @@ def test_an_insert_that_moves_a_fall_copy_fails(monkeypatch):
     assert witness["recovered"] != (parent, witness["falls"], witness["runs"])
 
 
-def test_leaf_set_witness():
+def test_leaf_set_witness(monkeypatch):
+    # the oracle's class loses a word the tree builds and gains one it
+    # does not
     enumerated = words.words_ending_in_one((3, 1, 1))[(0, 1, 0)]
     short = enumerated - {(1, 1, 2, 3, 1)}
-    verdict = insertion.verify_phi((3, 1, 1), (0, 1, 0), short | {(2, 1, 3, 1, 1)})
+    monkeypatch.setattr(insertion, "words_ending_in_one",
+                        lambda alpha: {(0, 1, 0): short | {(2, 1, 3, 1, 1)}})
+    verdict = insertion.verify_phi((3, 1, 1), (0, 1, 0))
     assert verdict.holds is False
     assert verdict.witness == {"check": "leaf-set", "built": 3, "enumerated": 3,
                                "missing": (2, 1, 3, 1, 1), "extra": (1, 1, 2, 3, 1)}
@@ -253,6 +258,34 @@ def test_the_flex_sweeps_build_each_necklace_once(monkeypatch):
     report = sweeps.run_sweep(sweeps.sweep_flex_universal(5))
     assert report["holds"]
     assert calls == Counter({"necklace": report["instances_checked"]})
+
+
+def replay(name: str, n_max: int) -> tuple[list, list]:
+    """The items of a theorem's sweep, and the same keys checked one
+    instance at a time through the theorem's verifier, as `csieve verify`
+    checks an instance given on the command line."""
+    theorem = sweeps.THEOREMS[name]
+    items = list(theorem.sweep(n_max))
+    return items, [(key, theorem.verify(**key)) for key, _ in items]
+
+
+@pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
+                                  if theorem.sweep is not None])
+def test_every_sweep_item_is_its_single_instance_verdict(name):
+    # a sweep shares work between its instances (the memoized tables, and
+    # the closed forms and profile carriers it passes), but each verdict
+    # is the one its instance gets alone
+    items, alone = replay(name, 5)
+    assert items and alone == items
+
+
+def test_a_failing_sweep_item_is_its_single_instance_verdict(monkeypatch):
+    # failure witnesses are replayed too: phi under its acceptance mutant
+    module, attribute, mutate = MUTANTS["phi"][:3]
+    monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    items, alone = replay("phi", 5)
+    assert any(not verdict.holds for _, verdict in items)
+    assert alone == items
 
 
 @pytest.mark.parametrize("name", [name for name, theorem in sweeps.THEOREMS.items()
